@@ -10,10 +10,13 @@
 package pasched_test
 
 import (
+	"fmt"
 	"testing"
 
 	"pasched"
 	"pasched/internal/autoscale"
+	"pasched/internal/consolidation"
+	"pasched/internal/cpufreq"
 	"pasched/internal/fleet"
 	"pasched/internal/sim"
 	"pasched/internal/workload"
@@ -182,8 +185,9 @@ func BenchmarkExtConsolidation(b *testing.B) {
 
 // benchFleet drives one fleet configuration per benchmark iteration and
 // reports batching/SLA metrics plus allocations (allocs/op regressions
-// in the arrival/interval hot paths surface in BENCH_ci.json).
-func benchFleet(b *testing.B, trace *fleet.Trace, cfg fleet.Config, horizon sim.Time) {
+// in the arrival/interval hot paths surface in BENCH_ci.json). It
+// returns the last iteration's report.
+func benchFleet(b *testing.B, trace *fleet.Trace, cfg fleet.Config, horizon sim.Time) *fleet.Report {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -203,6 +207,24 @@ func benchFleet(b *testing.B, trace *fleet.Trace, cfg fleet.Config, horizon sim.
 	}
 	b.ReportMetric(float64(rep.Summary.BatchedQuanta), "batched_quanta/op")
 	b.ReportMetric(rep.Summary.OverallSLA*100, "overall_sla_pct")
+	return rep
+}
+
+// pinnedPolicy places each arrival on the machine its name is pinned
+// to, leaving the estate spread the way an earlier placement left it.
+// Consolidation moves, whose candidate list excludes the pinned source,
+// fall back to first-fit.
+type pinnedPolicy map[string]int
+
+func (pinnedPolicy) Name() string { return "pinned" }
+
+func (p pinnedPolicy) Place(machines []fleet.MachineState, r fleet.Request) (int, bool) {
+	for _, m := range machines {
+		if m.Index == p[r.Name] && m.Fits(r) {
+			return m.Index, true
+		}
+	}
+	return fleet.NewFirstFit().Place(machines, r)
 }
 
 // BenchmarkFleetRun measures the trace-driven datacenter simulator.
@@ -218,6 +240,11 @@ func benchFleet(b *testing.B, trace *fleet.Trace, cfg fleet.Config, horizon sim.
 // gating its hot-path overhead (client streams, attained-rate service,
 // histogram folds) and allocations.
 //
+// datacenter is the small homogeneous consolidation scenario: 8 Optiplex
+// machines under PAS, 12 web VMs spread over the first six, and
+// consolidation every 5 s folding them onto fewer machines through live
+// migrations, with the default shard and worker counts.
+//
 // large is the datacenter-scale class: 50k machines, 500k VM
 // lifecycles, sharded with streaming discard so memory stays
 // O(machines + live VMs). First-fit placement — the O(active-prefix)
@@ -231,7 +258,7 @@ func BenchmarkFleetRun(b *testing.B) {
 	machines := fleet.DefaultEstate(200)
 	base := fleet.Config{
 		Machines:         machines,
-		UsePAS:           true,
+		Scheduler:        "pas",
 		Policy:           fleet.NewDVFSAware(),
 		ReportEvery:      30 * sim.Second,
 		ConsolidateEvery: 60 * sim.Second,
@@ -316,6 +343,30 @@ func BenchmarkFleetRun(b *testing.B) {
 		b.ReportMetric(float64(rep.Summary.BatchedQuanta), "batched_quanta/op")
 		b.ReportMetric(rep.Summary.OverallSLA*100, "overall_sla_pct")
 	})
+	b.Run("datacenter", func(b *testing.B) {
+		const dcHorizon = 30 * sim.Second
+		trace := &fleet.Trace{Classes: map[string]fleet.VMClass{}, Horizon: dcHorizon}
+		pin := pinnedPolicy{}
+		for i := 0; i < 12; i++ {
+			name := fmt.Sprintf("vm%02d", i)
+			trace.Classes[name] = fleet.VMClass{Name: name,
+				CreditPct: 15 + float64(i%3)*5, MemoryMB: 1024 + 512*(i%4)}
+			trace.Events = append(trace.Events, fleet.VMEvent{Name: name, Class: name,
+				Lifetime: dcHorizon, Activity: 0.4 + 0.05*float64(i%5)})
+			pin[name] = i % 6
+		}
+		rep := benchFleet(b, trace, fleet.Config{
+			Machines: []fleet.MachineClass{{Name: "optiplex-755", Count: 8,
+				Spec: consolidation.HostSpec{MemoryMB: 8192, Profile: cpufreq.Optiplex755()}}},
+			Scheduler:        "pas",
+			Policy:           pin,
+			ReportEvery:      5 * sim.Second,
+			ConsolidateEvery: 5 * sim.Second,
+		}, dcHorizon)
+		if rep.Summary.Migrated == 0 {
+			b.Fatalf("no migrations; the consolidation scenario is vacuous: %+v", rep.Summary)
+		}
+	})
 	b.Run("large", func(b *testing.B) {
 		const largeHorizon = 300 * sim.Second
 		largeTrace, err := fleet.Generate(fleet.GenConfig{
@@ -329,7 +380,7 @@ func BenchmarkFleetRun(b *testing.B) {
 		}
 		benchFleet(b, largeTrace, fleet.Config{
 			Machines:         fleet.DefaultEstate(50_000),
-			UsePAS:           true,
+			Scheduler:        "pas",
 			Policy:           fleet.NewFirstFit(),
 			ReportEvery:      60 * sim.Second,
 			ConsolidateEvery: 120 * sim.Second,

@@ -8,9 +8,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"pasched"
 	"pasched/internal/consolidation"
+	"pasched/internal/fleet"
 	"pasched/internal/metrics"
 )
 
@@ -41,11 +43,11 @@ func main() {
 	fmt.Printf("machines beyond the %d placed ones are switched off.\n\n", placement.Hosts)
 
 	const dur = 60 * pasched.Second
-	baseline, err := consolidation.Simulate(placement, vms, machine, dur, false)
+	baseline, err := consolidation.Simulate(placement, vms, machine, dur, "credit")
 	if err != nil {
 		log.Fatal(err)
 	}
-	withPAS, err := consolidation.Simulate(placement, vms, machine, dur, true)
+	withPAS, err := consolidation.Simulate(placement, vms, machine, dur, "pas")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,37 +76,59 @@ func main() {
 	dynamicPhase()
 }
 
-// dynamicPhase shows the live side of Section 2.3: the estate shrinks at
-// night, the consolidation manager migrates the survivors together and
-// powers machines off, and PAS keeps saving on what remains.
+// dynamicPhase shows the live side of Section 2.3 as a fleet trace: four
+// daytime VMs spread the night-time services one per machine; once they
+// leave, the consolidation manager live-migrates the survivors together
+// and powers the emptied machines off, and PAS keeps saving on what
+// remains.
 func dynamicPhase() {
 	fmt.Println("\n--- Dynamic consolidation (live migration + power-off) ---")
-	machine := consolidation.HostSpec{MemoryMB: 8192, Profile: pasched.Optiplex755()}
-	dc, err := consolidation.NewDataCenter(machine, 4, true)
+	const horizon = 90 * pasched.Second
+	trace := &fleet.Trace{
+		Classes: map[string]fleet.VMClass{
+			"day": {Name: "day", CreditPct: 30, MemoryMB: 6144},
+			"svc": {Name: "svc", CreditPct: 15, MemoryMB: 1500},
+		},
+		Horizon: horizon,
+	}
+	// First-fit gives every day VM a machine of its own, and each one
+	// leaves room for exactly one service VM beside it.
+	for i := 0; i < 4; i++ {
+		trace.Events = append(trace.Events, fleet.VMEvent{Name: fmt.Sprintf("day%d", i),
+			Class: "day", Arrive: 0, Lifetime: 30 * pasched.Second, Activity: 0.4})
+	}
+	for i := 0; i < 4; i++ {
+		trace.Events = append(trace.Events, fleet.VMEvent{Name: fmt.Sprintf("svc%d", i),
+			Class: "svc", Arrive: pasched.Second, Lifetime: horizon - pasched.Second, Activity: 0.4})
+	}
+	f, err := fleet.New(fleet.Config{
+		Machines: []fleet.MachineClass{{Name: "optiplex-755", Count: 4,
+			Spec: consolidation.HostSpec{MemoryMB: 8192, Profile: pasched.Optiplex755()}}},
+		Scheduler:        "pas",
+		Policy:           fleet.NewFirstFit(),
+		ReportEvery:      5 * pasched.Second,
+		ConsolidateEvery: 5 * pasched.Second,
+	}, trace)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Four night-time services, one per machine (the daytime estate left
-	// them spread out).
-	for i := 0; i < 4; i++ {
-		spec := consolidation.VMSpec{
-			Name:      fmt.Sprintf("svc%d", i),
-			CreditPct: 15,
-			MemoryMB:  1500,
-			Activity:  0.4,
-		}
-		if err := dc.Place(spec, i); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := dc.EnableAutoConsolidation(5 * pasched.Second); err != nil {
+	rep, err := f.Run(horizon)
+	if err != nil {
 		log.Fatal(err)
 	}
-	if err := dc.Run(90 * pasched.Second); err != nil {
-		log.Fatal(err)
+	var timeline []string
+	for _, iv := range rep.Intervals {
+		timeline = append(timeline, fmt.Sprintf("%.0fs:%d", iv.TimeS, iv.ActiveMachines))
 	}
-	fmt.Printf("after 90 s: %d/%d machines still on, %d live migrations, %d powered off\n",
-		dc.ActiveMachines(), dc.Machines(), dc.Migrations(), dc.AutoPoweredOff())
-	fmt.Printf("energy consumed: %.0f J (machines switched off cost nothing;\n", dc.TotalJoules())
+	s := rep.Summary
+	active := rep.Intervals[len(rep.Intervals)-1].ActiveMachines
+	fmt.Printf("active machines by time: %s\n", strings.Join(timeline, " "))
+	fmt.Printf("after 90 s: %d/%d machines still on, %d live migrations, %d power-offs, SLA %.3f\n",
+		active, s.Machines, s.Migrated, s.PowerOffs, s.OverallSLA)
+	fmt.Printf("energy consumed: %.0f J (machines switched off cost nothing;\n", s.TotalJoules)
 	fmt.Println("PAS keeps the surviving machine at a reduced frequency).")
+	if s.Migrated == 0 || active != 1 {
+		log.Fatalf("consolidation did not fold the services onto one machine: %d migrations, %d active",
+			s.Migrated, active)
+	}
 }

@@ -69,8 +69,8 @@ type HostSpec struct {
 
 // WithDefaults validates the spec and fills defaults (10% Dom0 reserve,
 // the paper's setup). Callers composing machines out of HostSpecs — the
-// data center here, the heterogeneous fleet in internal/fleet — resolve
-// the spec once and keep the resolved copy.
+// heterogeneous fleet in internal/fleet — resolve the spec once and keep
+// the resolved copy.
 func (h HostSpec) WithDefaults() (HostSpec, error) {
 	if h.MemoryMB <= 0 {
 		return h, fmt.Errorf("consolidation: host memory %d not positive", h.MemoryMB)
@@ -175,10 +175,11 @@ type Report struct {
 }
 
 // Simulate runs the placement for dur: one simulated machine per used
-// host, each under the PAS scheduler (usePAS) or a fix-credit scheduler at
-// the maximum frequency (the baseline), with each VM offering
-// Activity x Credit worth of load. Switched-off machines consume nothing.
-func Simulate(p *Placement, vms []VMSpec, spec HostSpec, dur sim.Time, usePAS bool) (*Report, error) {
+// host, each under the named scheduler ("pas", or "credit" for the
+// fix-credit baseline at the maximum frequency; see NewHost), with each
+// VM offering Activity x Credit worth of load. Switched-off machines
+// consume nothing.
+func Simulate(p *Placement, vms []VMSpec, spec HostSpec, dur sim.Time, scheduler string) (*Report, error) {
 	spec, err := spec.WithDefaults()
 	if err != nil {
 		return nil, err
@@ -208,7 +209,7 @@ func Simulate(p *Placement, vms []VMSpec, spec HostSpec, dur sim.Time, usePAS bo
 		return nil, err
 	}
 	for hi, group := range byHost {
-		h, err := NewHost(spec, usePAS)
+		h, err := NewHost(spec, HostOptions{Scheduler: scheduler})
 		if err != nil {
 			return nil, fmt.Errorf("consolidation: host %d: %w", hi, err)
 		}
@@ -250,19 +251,13 @@ func Simulate(p *Placement, vms []VMSpec, spec HostSpec, dur sim.Time, usePAS bo
 	return rep, nil
 }
 
-// NewHost assembles one simulated machine from the spec: a CPU with the
-// spec's frequency ladder, either the PAS scheduler (credits compensated
-// at reduced frequencies, the load source bound to the host) or a plain
-// fix-credit scheduler pinned at the maximum frequency, plus a Dom0 with
-// the reserved share. It is the machine constructor shared by the
-// homogeneous data center here and the heterogeneous fleet
-// (internal/fleet).
-func NewHost(spec HostSpec, usePAS bool) (*host.Host, error) {
-	return NewHostWithOptions(spec, usePAS, HostOptions{})
-}
-
-// HostOptions tunes the assembled machine beyond the hardware spec.
+// HostOptions selects the machine's scheduler and tunes it beyond the
+// hardware spec.
 type HostOptions struct {
+	// Scheduler names the machine's scheduler, resolved against the
+	// scheduler registry (see SchedulerNames for the accepted values and
+	// Schedulers for descriptions). Empty selects "credit".
+	Scheduler string
 	// Reference forces the reference quantum-by-quantum stepping path
 	// (host.Config.Reference), for batched==reference equivalence tests.
 	Reference bool
@@ -273,29 +268,26 @@ type HostOptions struct {
 	// per-VM series would otherwise grow with every VM that ever lived
 	// on the host).
 	SampleEvery sim.Time
-	// Scheduler overrides the usePAS choice with a scheduler by name,
-	// resolved against the scheduler registry (see SchedulerNames for
-	// the accepted values and Schedulers for descriptions). Empty
-	// defers to usePAS.
-	Scheduler string
 	// Obs is the machine's flight-recorder lane (host.Config.Obs). Nil
 	// disables observation.
 	Obs *obs.MachineObs
 }
 
-// NewHostWithOptions is NewHost with the extra knobs of HostOptions.
-func NewHostWithOptions(spec HostSpec, usePAS bool, opts HostOptions) (*host.Host, error) {
+// NewHost assembles one simulated machine from the spec: a CPU with the
+// spec's frequency ladder, the scheduler named by opts.Scheduler (PAS
+// credits compensated at reduced frequencies with the load source bound
+// to the host, or e.g. a plain fix-credit scheduler pinned at the
+// maximum frequency), plus a Dom0 with the reserved share. It is the
+// machine constructor shared by Simulate here and the heterogeneous
+// fleet (internal/fleet).
+func NewHost(spec HostSpec, opts HostOptions) (*host.Host, error) {
 	cpu, err := cpufreq.NewCPU(spec.Profile)
 	if err != nil {
 		return nil, err
 	}
 	name := opts.Scheduler
 	if name == "" {
-		if usePAS {
-			name = "pas"
-		} else {
-			name = "credit"
-		}
+		name = "credit"
 	}
 	entry, ok := lookupScheduler(name)
 	if !ok {

@@ -168,11 +168,11 @@ func TestSimulateComplementarity(t *testing.T) {
 		t.Fatalf("Hosts = %d, want 3 (memory bound)", p.Hosts)
 	}
 	const dur = 30 * sim.Second
-	base, err := Simulate(p, vms, spec, dur, false)
+	base, err := Simulate(p, vms, spec, dur, "credit")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pas, err := Simulate(p, vms, spec, dur, true)
+	pas, err := Simulate(p, vms, spec, dur, "pas")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,17 +200,20 @@ func TestSimulateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Simulate(nil, vms, spec, sim.Second, true); err == nil {
+	if _, err := Simulate(nil, vms, spec, sim.Second, "pas"); err == nil {
 		t.Error("nil placement accepted")
 	}
-	if _, err := Simulate(p, vms, spec, 0, true); err == nil {
+	if _, err := Simulate(p, vms, spec, 0, "pas"); err == nil {
 		t.Error("zero duration accepted")
 	}
-	if _, err := Simulate(p, []VMSpec{{Name: "ghost", CreditPct: 1, MemoryMB: 1}}, spec, sim.Second, true); err == nil {
+	if _, err := Simulate(p, []VMSpec{{Name: "ghost", CreditPct: 1, MemoryMB: 1}}, spec, sim.Second, "pas"); err == nil {
 		t.Error("unplaced VM accepted")
 	}
 	bad := &Placement{Assignments: map[string]int{"a": 7}, Hosts: 1}
-	if _, err := Simulate(bad, vms, spec, sim.Second, true); err == nil {
+	if _, err := Simulate(bad, vms, spec, sim.Second, "pas"); err == nil {
 		t.Error("out-of-range assignment accepted")
+	}
+	if _, err := Simulate(p, vms, spec, sim.Second, "cfs"); err == nil {
+		t.Error("unknown scheduler accepted")
 	}
 }

@@ -28,7 +28,7 @@ const picoPerJoule = int64(1e12)
 
 // Energy is an exact amount of electrical energy: whole joules plus a
 // picojoule remainder in [0, 1e12). The two-word form keeps cross-host
-// reductions (cluster, datacenter and fleet totals) exact and
+// reductions (cluster, consolidation and fleet totals) exact and
 // overflow-safe far beyond what a single int64 of picojoules could carry;
 // addition is associative and commutative, so parallel-machine rollups
 // are order-independent by construction. Normalized Energy values compare

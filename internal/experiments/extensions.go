@@ -125,11 +125,11 @@ func ExtConsolidation() (*Result, error) {
 		return nil, err
 	}
 	const dur = 60 * sim.Second
-	baseline, err := consolidation.Simulate(placement, vms, machine, dur, false)
+	baseline, err := consolidation.Simulate(placement, vms, machine, dur, "credit")
 	if err != nil {
 		return nil, err
 	}
-	withPAS, err := consolidation.Simulate(placement, vms, machine, dur, true)
+	withPAS, err := consolidation.Simulate(placement, vms, machine, dur, "pas")
 	if err != nil {
 		return nil, err
 	}

@@ -193,7 +193,7 @@ func Table2() (*Result, error) {
 		fmt.Sprintf("%.0f vs %.0f", varPerfMax, xenPerf),
 		varPerfMax < 0.45*xenPerf))
 	res.Notes = append(res.Notes,
-		"per-platform overhead factors and DVFS floor depths are calibrated from the paper's Performance row and documented in EXPERIMENTS.md; the reproduced quantity is the degradation structure, not the exact seconds",
+		"per-platform overhead factors and DVFS floor depths are calibrated from the paper's Performance row and documented in the internal/platform package doc; the reproduced quantity is the degradation structure, not the exact seconds",
 		"variable-credit platforms run faster here (~450s vs the paper's ~616s) because our Dom0 background load is lighter than the paper's full Joomla stack")
 	return res, nil
 }

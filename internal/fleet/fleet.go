@@ -56,23 +56,23 @@ func DefaultEstate(n int) []MachineClass {
 	return out
 }
 
+// DefaultMigrationBandwidthMBps is the default memory-copy bandwidth of a
+// live migration, in MB per simulated second (a 10 GbE link's practical
+// throughput).
+const DefaultMigrationBandwidthMBps = 1000
+
 // Config configures a Fleet.
 type Config struct {
 	// Machines lists the machine classes. Required, at least one machine
 	// in total.
 	Machines []MachineClass
-	// UsePAS selects the scheduler on every machine: the PAS scheduler
-	// (DVFS with credit compensation) or the fix-credit baseline pinned
-	// at the maximum frequency.
-	//
-	// Deprecated: UsePAS survives as a thin alias for Scheduler "pas"
-	// (true) / "credit" (false); new code should set Scheduler.
-	UsePAS bool
 	// Scheduler selects the per-machine scheduler by name, resolved
 	// against the scheduler registry shared with the consolidation
 	// package and the CLIs — see SchedulerNames for the accepted names
-	// and aliases, consolidation.Schedulers for descriptions. It
-	// overrides UsePAS; empty defers to UsePAS.
+	// and aliases, consolidation.Schedulers for descriptions: "pas" for
+	// the paper's DVFS with credit compensation, "credit" for the
+	// fix-credit baseline pinned at the maximum frequency. Empty selects
+	// "credit".
 	Scheduler string
 	// Policy decides placement (and consolidation targets). Default
 	// first-fit.
@@ -87,7 +87,7 @@ type Config struct {
 	// machines still power off at reporting barriers).
 	ConsolidateEvery sim.Time
 	// MigrationBandwidthMBps is the live-migration pre-copy bandwidth;
-	// default consolidation.DefaultMigrationBandwidthMBps.
+	// default DefaultMigrationBandwidthMBps.
 	MigrationBandwidthMBps float64
 	// Shards partitions the machines round-robin into independently
 	// stepped shards, each with its own event queue and persistent
@@ -230,7 +230,7 @@ type ServingConfig struct {
 func SchedulerNames() string { return consolidation.SchedulerNames() }
 
 // ValidScheduler reports whether name is an accepted Config.Scheduler
-// value (the empty string defers to UsePAS).
+// value (the empty string selects "credit").
 func ValidScheduler(name string) bool {
 	return name == "" || consolidation.ValidScheduler(name)
 }
@@ -263,7 +263,7 @@ func (cfg Config) withDefaults() (Config, error) {
 		return cfg, fmt.Errorf("fleet: consolidation interval %v negative", cfg.ConsolidateEvery)
 	}
 	if cfg.MigrationBandwidthMBps == 0 {
-		cfg.MigrationBandwidthMBps = consolidation.DefaultMigrationBandwidthMBps
+		cfg.MigrationBandwidthMBps = DefaultMigrationBandwidthMBps
 	}
 	if cfg.MigrationBandwidthMBps <= 0 {
 		return cfg, fmt.Errorf("fleet: migration bandwidth %v not positive", cfg.MigrationBandwidthMBps)
@@ -280,23 +280,14 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Shards > total {
 		cfg.Shards = total
 	}
-	// The registry is membership's single source of truth; only the
-	// UsePAS-conflict logic lives here.
-	if !ValidScheduler(cfg.Scheduler) {
+	if cfg.Scheduler == "" {
+		cfg.Scheduler = "credit"
+	}
+	canonical, ok := consolidation.CanonicalScheduler(cfg.Scheduler)
+	if !ok {
 		return cfg, fmt.Errorf("fleet: unknown scheduler %q (accepted: %s)", cfg.Scheduler, SchedulerNames())
 	}
-	if cfg.Scheduler == "" {
-		if cfg.UsePAS {
-			cfg.Scheduler = "pas"
-		} else {
-			cfg.Scheduler = "credit"
-		}
-	} else {
-		cfg.Scheduler, _ = consolidation.CanonicalScheduler(cfg.Scheduler)
-		if cfg.UsePAS && cfg.Scheduler != "pas" {
-			return cfg, fmt.Errorf("fleet: UsePAS conflicts with scheduler %q", cfg.Scheduler)
-		}
-	}
+	cfg.Scheduler = canonical
 	if !cfg.Obs.Enabled {
 		if cfg.Obs.Sink != nil {
 			return cfg, fmt.Errorf("fleet: Obs.Sink set without Obs.Enabled")
@@ -771,10 +762,10 @@ func NewStream(cfg Config, src TraceSource) (*Fleet, error) {
 // the host — an O(arrivals) term at trace scale. mo is the machine's
 // flight-recorder lane; nil disables observation for this host.
 func newMachineHost(spec consolidation.HostSpec, cfg Config, mo *obs.MachineObs) (*host.Host, error) {
-	return consolidation.NewHostWithOptions(spec, cfg.UsePAS, consolidation.HostOptions{
+	return consolidation.NewHost(spec, consolidation.HostOptions{
+		Scheduler:   cfg.Scheduler,
 		Reference:   cfg.Reference,
 		SampleEvery: -1,
-		Scheduler:   cfg.Scheduler,
 		Obs:         mo,
 	})
 }

@@ -52,7 +52,7 @@ func TestFleetDeterminism(t *testing.T) {
 	run := func(workers int) *Report {
 		cfg := Config{
 			Machines:         testMachines(10, 6),
-			UsePAS:           true,
+			Scheduler:        "pas",
 			Policy:           NewDVFSAware(),
 			ReportEvery:      20 * sim.Second,
 			ConsolidateEvery: 40 * sim.Second,
@@ -173,7 +173,9 @@ func TestFleetBatchedEquivalence(t *testing.T) {
 
 // TestFleetConsolidationMigratesAndPowersOff drives a hand-written trace
 // through consolidation: departures empty most of machine duty, the
-// remaining VM migrates away, and the emptied machine powers off.
+// remaining VM migrates away, and the emptied machine powers off. The
+// same trace without consolidation keeps the spread machines on, so the
+// consolidated run must use less energy.
 func TestFleetConsolidationMigratesAndPowersOff(t *testing.T) {
 	trace := `
 horizon,300
@@ -192,15 +194,18 @@ vm,d,3,300,small,0.4
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Machines: []MachineClass{{Name: "optiplex", Count: 3, Spec: consolidation.HostSpec{
-			MemoryMB: 8192, Profile: cpufreq.Optiplex755()}}},
-		UsePAS:           true,
-		Policy:           NewFirstFit(),
-		ReportEvery:      30 * sim.Second,
-		ConsolidateEvery: 30 * sim.Second,
+	run := func(consolidateEvery sim.Time) *Report {
+		cfg := Config{
+			Machines: []MachineClass{{Name: "optiplex", Count: 3, Spec: consolidation.HostSpec{
+				MemoryMB: 8192, Profile: cpufreq.Optiplex755()}}},
+			Scheduler:        "pas",
+			Policy:           NewFirstFit(),
+			ReportEvery:      30 * sim.Second,
+			ConsolidateEvery: consolidateEvery,
+		}
+		return runFleet(t, cfg, tr, 300*sim.Second)
 	}
-	rep := runFleet(t, cfg, tr, 300*sim.Second)
+	rep := run(30 * sim.Second)
 	if rep.Summary.Migrated == 0 {
 		t.Errorf("no migrations: %+v", rep.Summary)
 	}
@@ -213,6 +218,14 @@ vm,d,3,300,small,0.4
 	}
 	if rep.Summary.OverallSLA < 0.95 {
 		t.Errorf("lightly loaded fleet should meet its SLA, got %v", rep.Summary.OverallSLA)
+	}
+	spread := run(0)
+	if spread.Summary.Migrated != 0 {
+		t.Errorf("migrations with consolidation disabled: %+v", spread.Summary)
+	}
+	if rep.Summary.TotalJoules >= spread.Summary.TotalJoules {
+		t.Errorf("consolidated run used %v J, spread run %v J; consolidation saved nothing",
+			rep.Summary.TotalJoules, spread.Summary.TotalJoules)
 	}
 }
 
@@ -264,7 +277,7 @@ func TestFleetPoliciesDiffer(t *testing.T) {
 	for _, pol := range []Policy{NewFirstFit(), NewBestFit(), NewDVFSAware()} {
 		cfg := Config{
 			Machines:    testMachines(6, 6),
-			UsePAS:      true,
+			Scheduler:   "pas",
 			Policy:      pol,
 			ReportEvery: 30 * sim.Second,
 			Seed:        11,
@@ -296,18 +309,18 @@ func TestFleetPoliciesDiffer(t *testing.T) {
 func TestFleetPASBeatsFixCreditOnEnergy(t *testing.T) {
 	tr := genTrace(t, GenConfig{Seed: 21, Arrivals: 60, Horizon: 180 * sim.Second,
 		MeanLifetime: 90 * sim.Second, BaseActivity: 0.4})
-	run := func(usePAS bool) *Report {
+	run := func(sched string) *Report {
 		cfg := Config{
 			Machines:    testMachines(8, 0),
-			UsePAS:      usePAS,
+			Scheduler:   sched,
 			Policy:      NewFirstFit(),
 			ReportEvery: 30 * sim.Second,
 			Seed:        21,
 		}
 		return runFleet(t, cfg, tr, 180*sim.Second)
 	}
-	pas := run(true)
-	fix := run(false)
+	pas := run("pas")
+	fix := run("credit")
 	if pas.Summary.TotalJoules >= fix.Summary.TotalJoules {
 		t.Errorf("PAS %v J >= fix-credit %v J; DVFS saved nothing",
 			pas.Summary.TotalJoules, fix.Summary.TotalJoules)

@@ -89,7 +89,7 @@ func FuzzShardMigration(f *testing.F) {
 		cfg := func(s, w int) Config {
 			return Config{
 				Machines:         testMachines(4, 2),
-				UsePAS:           true,
+				Scheduler:        "pas",
 				Policy:           NewBestFit(),
 				ReportEvery:      15 * sim.Second,
 				ConsolidateEvery: 15 * sim.Second,
@@ -145,7 +145,7 @@ func FuzzServeShardEquivalence(f *testing.F) {
 		cfg := func(s, w int) Config {
 			return Config{
 				Machines:         testMachines(4, 2),
-				UsePAS:           true,
+				Scheduler:        "pas",
 				Policy:           NewBestFit(),
 				ReportEvery:      15 * sim.Second,
 				ConsolidateEvery: 15 * sim.Second,
@@ -203,7 +203,7 @@ func FuzzObsShardEquivalence(f *testing.F) {
 		cfg := func(s, w int) Config {
 			return Config{
 				Machines:         testMachines(4, 2),
-				UsePAS:           true,
+				Scheduler:        "pas",
 				Policy:           NewBestFit(),
 				ReportEvery:      15 * sim.Second,
 				ConsolidateEvery: 15 * sim.Second,
@@ -266,7 +266,7 @@ func FuzzAutoscaleShardEquivalence(f *testing.F) {
 		cfg := func(s, w int) Config {
 			return Config{
 				Machines:         testMachines(4, 2),
-				UsePAS:           true,
+				Scheduler:        "pas",
 				Policy:           NewBestFit(),
 				ReportEvery:      15 * sim.Second,
 				ConsolidateEvery: 15 * sim.Second,

@@ -30,7 +30,7 @@ func churnTrace(t *testing.T, seed uint64) *Trace {
 func churnConfig(shards, workers int, seed uint64) Config {
 	return Config{
 		Machines:         testMachines(6, 4),
-		UsePAS:           true,
+		Scheduler:        "pas",
 		Policy:           NewBestFit(),
 		ReportEvery:      20 * sim.Second,
 		ConsolidateEvery: 20 * sim.Second, // every barrier: maximal migration churn

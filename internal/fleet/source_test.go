@@ -368,7 +368,7 @@ func FuzzShardMigrationStreamed(f *testing.F) {
 		cfg := func(s, w int) Config {
 			return Config{
 				Machines:         testMachines(4, 2),
-				UsePAS:           true,
+				Scheduler:        "pas",
 				Policy:           NewBestFit(),
 				ReportEvery:      15 * sim.Second,
 				ConsolidateEvery: 15 * sim.Second,

@@ -16,8 +16,9 @@
 //   - a CPU overhead factor relative to Xen, calibrated from the paper's
 //     Performance-governor row (e.g. Hyper-V 1601s vs Xen 1559s).
 //
-// These are approximations of closed-source systems; EXPERIMENTS.md
-// documents the calibration.
+// These are approximations of closed-source systems. The calibration is
+// documented here: the three properties above, with the per-platform
+// values in Platforms.
 package platform
 
 import (
