@@ -18,6 +18,7 @@ import (
 	"pasched/internal/consolidation"
 	"pasched/internal/cpufreq"
 	"pasched/internal/fleet"
+	"pasched/internal/obs"
 	"pasched/internal/sim"
 	"pasched/internal/workload"
 )
@@ -193,6 +194,9 @@ func benchFleet(b *testing.B, trace *fleet.Trace, cfg fleet.Config, horizon sim.
 	b.ResetTimer()
 	var rep *fleet.Report
 	for i := 0; i < b.N; i++ {
+		if c, ok := cfg.Obs.Sink.(*obs.Collector); ok {
+			*c = obs.Collector{} // each run retains only its own stream
+		}
 		fl, err := fleet.New(cfg, trace)
 		if err != nil {
 			b.Fatal(err)
@@ -285,14 +289,14 @@ func BenchmarkFleetRun(b *testing.B) {
 		benchFleet(b, trace, cfg, horizon)
 	})
 	// obs repeats s1 with the flight recorder enabled (events retained in
-	// memory, no sink), gating the enabled-path overhead — per-lane ring
-	// emission on refills, state changes and P-state transitions, the
-	// attribution ledgers, and the barrier drain/merge — against the
-	// plain s1 numbers.
+	// memory by an obs.Collector sink), gating the enabled-path overhead
+	// — per-lane ring emission on refills, state changes and P-state
+	// transitions, the attribution ledgers, and the barrier drain/merge
+	// — against the plain s1 numbers.
 	b.Run("obs", func(b *testing.B) {
 		cfg := base
 		cfg.Shards, cfg.Workers = 1, 1
-		cfg.Obs = fleet.ObsConfig{Enabled: true, Buffer: true}
+		cfg.Obs = fleet.ObsConfig{Enabled: true, Sink: &obs.Collector{}}
 		benchFleet(b, trace, cfg, horizon)
 	})
 	// autoscale runs the full elastic loop on top of serve + obs: signal
@@ -303,7 +307,7 @@ func BenchmarkFleetRun(b *testing.B) {
 		cfg := base
 		cfg.Shards, cfg.Workers = 1, 1
 		cfg.Serving = fleet.ServingConfig{Enabled: true, RequestCost: workload.DefaultRequestCost}
-		cfg.Obs = fleet.ObsConfig{Enabled: true, Buffer: true}
+		cfg.Obs = fleet.ObsConfig{Enabled: true, Sink: &obs.Collector{}}
 		cfg.Autoscale = fleet.AutoscaleConfig{
 			Enabled: true,
 			Policy:  "ditto",

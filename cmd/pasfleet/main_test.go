@@ -181,7 +181,7 @@ func testFleet(t *testing.T) *fleet.Fleet {
 	fl, err := fleet.New(fleet.Config{
 		Machines: fleet.DefaultEstate(4),
 		Seed:     5,
-		Obs:      fleet.ObsConfig{Enabled: true, Buffer: true},
+		Obs:      fleet.ObsConfig{Enabled: true},
 	}, tr)
 	if err != nil {
 		t.Fatal(err)

@@ -68,7 +68,7 @@ func main() {
 			},
 			// The recorder feeds ditto's attribution trigger; on for all
 			// three runs so the ledger columns stay comparable.
-			Obs: fleet.ObsConfig{Enabled: true, Buffer: true},
+			Obs: fleet.ObsConfig{Enabled: true},
 		}
 		if policy != "" {
 			cfg.Autoscale = fleet.AutoscaleConfig{

@@ -1,136 +1,12 @@
 package fleet
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
-	"pasched/internal/autoscale"
 	"pasched/internal/sim"
 	"pasched/internal/workload"
 )
-
-// autoscaleConfig is churnConfig with the elastic loop on: the ditto
-// policy on the attribution ledger, aggressive thresholds and a low cap
-// ceiling so cap resizes, replica scale-outs and scale-ins all fire
-// within the test horizon.
-func autoscaleConfig(shards, workers int, seed uint64) Config {
-	cfg := churnConfig(shards, workers, seed)
-	// Full-cost requests: the default serving page costs a fifth of a
-	// demand request, which gives every VM five-fold capacity headroom —
-	// capped VMs would still drain their queues instantly and the
-	// policies would never see pressure. At full cost, service capacity
-	// equals attained CPU, so credit throttling shows up as queueing.
-	cfg.Serving.RequestCost = workload.DefaultRequestCost
-	cfg.Autoscale = AutoscaleConfig{
-		Enabled: true,
-		Policy:  "ditto",
-		Params: autoscale.Params{
-			StepPct:            10,
-			MaxCapPct:          30, // large-class VMs saturate immediately: scale-out path
-			QueueHigh:          2,
-			QueueLow:           1,
-			MaxReplicas:        3,
-			CappedHighPermille: 10, // 1% of the interval capped triggers growth
-		},
-	}
-	return cfg
-}
-
-// autoscaleTrace is churnTrace at near-saturation activity, so credit
-// enforcement throttles VMs into queueing and the ledger accumulates
-// capped time — the ditto policy's trigger.
-func autoscaleTrace(t *testing.T, seed uint64) *Trace {
-	t.Helper()
-	return genTrace(t, GenConfig{
-		Seed:             seed,
-		Arrivals:         140,
-		Horizon:          300 * sim.Second,
-		MeanLifetime:     45 * sim.Second,
-		BaseActivity:     0.95,
-		DiurnalAmplitude: 0.2,
-		SegmentLen:       30 * sim.Second,
-	})
-}
-
-// TestFleetAutoscaleShardEquivalence is the tentpole acceptance check:
-// an autoscaled fleet — caps resized, replicas spawned and retired,
-// arrival streams repartitioned mid-run — reports DeepEqual-bit-exact
-// for every shard count x worker count combination, event stream
-// included.
-func TestFleetAutoscaleShardEquivalence(t *testing.T) {
-	for _, seed := range []uint64{7, 99} {
-		tr := autoscaleTrace(t, seed)
-		want, wantEv := runFleetObs(t, autoscaleConfig(1, 1, seed), tr, 300*sim.Second)
-		s := want.Summary
-		if s.AutoscaleResizes == 0 || s.AutoscaleScaleOuts == 0 || s.AutoscaleScaleIns == 0 {
-			t.Fatalf("seed %d: autoscaler idle, comparison is vacuous: resizes=%d outs=%d ins=%d",
-				seed, s.AutoscaleResizes, s.AutoscaleScaleOuts, s.AutoscaleScaleIns)
-		}
-		if s.RequestsOffered != s.RequestsCompleted+s.RequestsAbandoned+s.RequestsRetried+s.RequestsInFlight {
-			t.Fatalf("seed %d: request conservation broken across scale-out/in: %+v", seed, s)
-		}
-		for _, shards := range []int{1, 2, 4, 7} {
-			for _, workers := range []int{1, 4} {
-				got, gotEv := runFleetObs(t, autoscaleConfig(shards, workers, seed), tr, 300*sim.Second)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("seed=%d shards=%d workers=%d: autoscaled report differs from 1x1:\n%+v\nvs\n%+v",
-						seed, shards, workers, got.Summary, want.Summary)
-				}
-				if !reflect.DeepEqual(gotEv, wantEv) {
-					t.Errorf("seed=%d shards=%d workers=%d: event stream differs from 1x1 (%d vs %d events)",
-						seed, shards, workers, len(gotEv), len(wantEv))
-					for i := range gotEv {
-						if i < len(wantEv) && gotEv[i] != wantEv[i] {
-							t.Errorf("first divergence at event %d:\n%+v\nvs\n%+v", i, gotEv[i], wantEv[i])
-							break
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestFleetAutoscaleClosedLoop runs the queue policy over closed-loop
-// clients with abandonment and retries: the run must hold the four-way
-// request conservation with every outcome class populated, and still be
-// shard-equivalent.
-func TestFleetAutoscaleClosedLoop(t *testing.T) {
-	seed := uint64(21)
-	tr := autoscaleTrace(t, seed)
-	cfg := func(shards, workers int) Config {
-		c := churnConfig(shards, workers, seed)
-		c.Serving = ServingConfig{
-			Enabled:      true,
-			ClosedLoop:   true,
-			Clients:      24,
-			ThinkTime:    50 * sim.Millisecond,
-			AbandonAfter: 400 * sim.Millisecond,
-			RetryMax:     1,
-		}
-		c.Autoscale = AutoscaleConfig{
-			Enabled: true,
-			Policy:  "queue",
-			Params:  autoscale.Params{QueueHigh: 2, StepPct: 10},
-		}
-		return c
-	}
-	want := runFleet(t, cfg(1, 1), tr, 300*sim.Second)
-	s := want.Summary
-	if s.RequestsOffered != s.RequestsCompleted+s.RequestsAbandoned+s.RequestsRetried+s.RequestsInFlight {
-		t.Fatalf("closed-loop conservation broken: %+v", s)
-	}
-	if s.RequestsAbandoned == 0 || s.RequestsRetried == 0 || s.AutoscaleResizes == 0 {
-		t.Fatalf("vacuous: abandoned=%d retried=%d resizes=%d",
-			s.RequestsAbandoned, s.RequestsRetried, s.AutoscaleResizes)
-	}
-	got := runFleet(t, cfg(3, 2), tr, 300*sim.Second)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("closed-loop autoscaled report differs across shardings:\n%+v\nvs\n%+v",
-			got.Summary, want.Summary)
-	}
-}
 
 // TestFleetAutoscaleValidation covers the configuration rejections.
 func TestFleetAutoscaleValidation(t *testing.T) {

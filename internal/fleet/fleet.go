@@ -165,17 +165,17 @@ type AutoscaleConfig struct {
 // (At, Lane, Seq)-sorted windows at reporting barriers; the merged
 // stream — and the per-VM integer-microsecond attribution ledgers folded
 // into VMOutcome and Summary — are bit-identical for every shard and
-// worker count. When disabled, every hook collapses to one nil check:
-// the hot path pays zero allocations (benchmark-gated).
+// worker count. The merged windows go to Sink, the recorder's only
+// output; the Summary's event count and ledgers need no sink. When
+// disabled, every hook collapses to one nil check: the hot path pays
+// zero allocations (benchmark-gated).
 type ObsConfig struct {
 	// Enabled switches the recorder on.
 	Enabled bool
-	// Sink, when non-nil, receives every merged event window (e.g. a
-	// Perfetto trace writer). Requires Enabled.
+	// Sink, when non-nil, receives every merged event window: a
+	// Perfetto trace writer, or an obs.Collector to keep the stream in
+	// memory. Requires Enabled.
 	Sink obs.EventSink
-	// Buffer retains the merged stream in memory (Fleet.ObsEvents), for
-	// tests and small runs. Requires Enabled.
-	Buffer bool
 }
 
 // ServingConfig configures the optional request-level serving layer
@@ -288,13 +288,8 @@ func (cfg Config) withDefaults() (Config, error) {
 		return cfg, fmt.Errorf("fleet: unknown scheduler %q (accepted: %s)", cfg.Scheduler, SchedulerNames())
 	}
 	cfg.Scheduler = canonical
-	if !cfg.Obs.Enabled {
-		if cfg.Obs.Sink != nil {
-			return cfg, fmt.Errorf("fleet: Obs.Sink set without Obs.Enabled")
-		}
-		if cfg.Obs.Buffer {
-			return cfg, fmt.Errorf("fleet: Obs.Buffer set without Obs.Enabled")
-		}
+	if !cfg.Obs.Enabled && cfg.Obs.Sink != nil {
+		return cfg, fmt.Errorf("fleet: Obs.Sink set without Obs.Enabled")
 	}
 	if cfg.Serving.Enabled {
 		if cfg.Serving.Slots == 0 {
@@ -719,7 +714,7 @@ func NewStream(cfg Config, src TraceSource) (*Fleet, error) {
 	f.gate = engine.NewGate(cfg.Workers)
 	f.inline = ns == 1 || cfg.Workers == 1
 	if cfg.Obs.Enabled {
-		f.rec = obs.NewRecorder(ns, cfg.Obs.Sink, cfg.Obs.Buffer)
+		f.rec = obs.NewRecorder(ns, cfg.Obs.Sink)
 		f.cobs = obs.NewMachineObs(f.rec.CoordinatorRing(), obs.LaneCoordinator)
 	}
 	f.shards = make([]*shard, ns)
@@ -821,16 +816,6 @@ func (f *Fleet) Host(i int) (*host.Host, error) {
 		s.hosts[slot] = h
 	}
 	return s.hosts[slot], nil
-}
-
-// ObsEvents returns the retained merged event stream, nil unless the
-// fleet was built with Obs.Enabled and Obs.Buffer. Call it only after
-// Run returns.
-func (f *Fleet) ObsEvents() []obs.Event {
-	if f.rec == nil {
-		return nil
-	}
-	return f.rec.Events()
 }
 
 // Progress reports the run's live progress — simulated time reached,

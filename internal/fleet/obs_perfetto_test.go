@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"pasched/internal/obs"
@@ -14,15 +13,25 @@ import (
 // trace: valid JSON, legal phases, non-overlapping slices per track,
 // monotone counters — and that the run actually produced per-VM state
 // slices, counters, and instants (the trace is not vacuously valid).
+// Exporting the same run twice must produce the same bytes.
 func TestFleetPerfettoTrace(t *testing.T) {
 	seed := uint64(7)
 	tr := churnTrace(t, seed)
-	var buf bytes.Buffer
-	cfg := churnConfig(2, 2, seed)
-	cfg.Obs = ObsConfig{Enabled: true, Sink: obs.NewPerfettoWriter(&buf)}
-	rep := runFleet(t, cfg, tr, 300*sim.Second)
+	export := func() []byte {
+		var buf bytes.Buffer
+		cfg := churnConfig(2, 2, seed)
+		cfg.Obs = ObsConfig{Enabled: true, Sink: obs.NewPerfettoWriter(&buf)}
+		if rep := runFleet(t, cfg, tr, 300*sim.Second); rep.Summary.ObsEvents == 0 {
+			t.Error("summary reports no recorder events despite an enabled sink")
+		}
+		return buf.Bytes()
+	}
+	trace := export()
+	if !bytes.Equal(trace, export()) {
+		t.Error("two exports of the same run differ")
+	}
 
-	st, err := obs.ValidatePerfetto(bytes.NewReader(buf.Bytes()))
+	st, err := obs.ValidatePerfetto(bytes.NewReader(trace))
 	if err != nil {
 		t.Fatalf("fleet-produced trace rejected: %v", err)
 	}
@@ -32,11 +41,8 @@ func TestFleetPerfettoTrace(t *testing.T) {
 	if st.EndUs != int64(300*sim.Second) {
 		t.Errorf("trace ends at %d us, want %d", st.EndUs, int64(300*sim.Second))
 	}
-	if rep.Summary.ObsEvents == 0 {
-		t.Error("summary reports no recorder events despite an enabled sink")
-	}
 	// The migration churn must show up as named migration instants.
-	if !strings.Contains(buf.String(), `"mig-start`) {
+	if !bytes.Contains(trace, []byte(`"mig-start`)) {
 		t.Error("no migration instants in the trace despite consolidation churn")
 	}
 }

@@ -8,94 +8,19 @@ import (
 	"strings"
 	"testing"
 
-	"pasched/internal/obs"
 	"pasched/internal/sim"
 )
 
-// churnTrace generates a trace with heavy lifecycle churn: short
-// lifetimes against the horizon so departures keep emptying machines
-// and consolidation keeps migrating.
+// churnTrace is churnScenario's trace.
 func churnTrace(t *testing.T, seed uint64) *Trace {
 	t.Helper()
-	return genTrace(t, GenConfig{
-		Seed:         seed,
-		Arrivals:     140,
-		Horizon:      300 * sim.Second,
-		MeanLifetime: 45 * sim.Second,
-		BaseActivity: 0.5,
-		SegmentLen:   30 * sim.Second,
-	})
+	return genTrace(t, churnScenario(seed).gen)
 }
 
+// churnConfig is churnScenario's configuration with serving and the
+// flight recorder on.
 func churnConfig(shards, workers int, seed uint64) Config {
-	return Config{
-		Machines:         testMachines(6, 4),
-		Scheduler:        "pas",
-		Policy:           NewBestFit(),
-		ReportEvery:      20 * sim.Second,
-		ConsolidateEvery: 20 * sim.Second, // every barrier: maximal migration churn
-		Shards:           shards,
-		Workers:          workers,
-		Seed:             seed,
-		// Serving on: the shard-equivalence checks below then also prove
-		// the latency percentiles are bit-exact across shardings.
-		Serving: ServingConfig{Enabled: true},
-		// Flight recorder on and buffered: the same checks then also
-		// prove the event stream and the attribution ledgers are
-		// bit-exact across shardings.
-		Obs: ObsConfig{Enabled: true, Buffer: true},
-	}
-}
-
-// TestFleetShardEquivalence is the tentpole acceptance check: the report
-// of a sharded run is DeepEqual-bit-exact to the single-shard,
-// single-worker run for every shard count x worker count combination,
-// on traces with heavy migration and consolidation churn.
-func TestFleetShardEquivalence(t *testing.T) {
-	for _, seed := range []uint64{7, 99} {
-		tr := churnTrace(t, seed)
-		want, wantEv := runFleetObs(t, churnConfig(1, 1, seed), tr, 300*sim.Second)
-		if want.Summary.Migrated == 0 || want.Summary.Departed == 0 {
-			t.Fatalf("seed %d: no churn, comparison is vacuous: %+v", seed, want.Summary)
-		}
-		if len(wantEv) == 0 || want.Summary.LedgerSpanUs == 0 || want.Summary.LedgerMigratingUs == 0 {
-			t.Fatalf("seed %d: no observability signal, comparison is vacuous: %d events, %+v",
-				seed, len(wantEv), want.Summary)
-		}
-		for _, shards := range []int{1, 2, 4, 7} {
-			for _, workers := range []int{1, 4} {
-				got, gotEv := runFleetObs(t, churnConfig(shards, workers, seed), tr, 300*sim.Second)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("seed=%d shards=%d workers=%d: report differs from 1x1:\n%+v\nvs\n%+v",
-						seed, shards, workers, got.Summary, want.Summary)
-				}
-				if !reflect.DeepEqual(gotEv, wantEv) {
-					t.Errorf("seed=%d shards=%d workers=%d: event stream differs from 1x1 (%d vs %d events)",
-						seed, shards, workers, len(gotEv), len(wantEv))
-					for i := range gotEv {
-						if i < len(wantEv) && gotEv[i] != wantEv[i] {
-							t.Errorf("first divergence at event %d:\n%+v\nvs\n%+v", i, gotEv[i], wantEv[i])
-							break
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// runFleetObs is runFleet plus the retained flight-recorder stream.
-func runFleetObs(t *testing.T, cfg Config, tr *Trace, horizon sim.Time) (*Report, []obs.Event) {
-	t.Helper()
-	f, err := New(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := f.Run(horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep, f.ObsEvents()
+	return churnScenario(seed).config(featServe|featObs, shards, workers)
 }
 
 // TestFleetShardDefaultsAndClamp covers the shard-count configuration

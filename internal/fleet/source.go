@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 
 	"pasched/internal/sim"
 )
@@ -99,14 +98,11 @@ func Drain(src TraceSource) (*Trace, error) {
 // record (WriteCSV and WriteCSVStream emit that layout), because the
 // stream cannot be buffered to resolve forward references; vm records
 // must already be sorted by (arrive, name), since a streaming reader
-// cannot sort. ParseTrace's per-field validation is shared.
+// cannot sort. ParseTrace's reader is shared.
 type csvSource struct {
-	sc      *bufio.Scanner
-	classes map[string]VMClass
-	horizon sim.Time
-	line    int
-	err     error
-	done    bool
+	rd   *traceReader
+	err  error
+	done bool
 	// pending holds the first vm record's fields, already scanned by
 	// the prologue loop in ParseTraceStream.
 	pending []string
@@ -127,98 +123,33 @@ type csvSource struct {
 // checked for adjacent records (the fleet additionally rejects any two
 // concurrently live VMs sharing a name).
 func ParseTraceStream(r io.Reader) (TraceSource, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	s := &csvSource{sc: sc, classes: make(map[string]VMClass), first: true}
+	s := &csvSource{rd: newTraceReader(r), first: true}
 	// Consume the prologue: everything up to (not including) the first
 	// vm record.
 	for {
-		parts, ok := s.scanRecord()
+		parts, ok := s.rd.scan()
 		if !ok {
-			if s.err != nil {
-				return nil, s.err
+			if s.rd.err != nil {
+				return nil, s.rd.err
 			}
 			return nil, fmt.Errorf("fleet: trace without VM events")
 		}
 		if parts[0] == "vm" {
-			if s.horizon <= 0 {
-				return nil, fmt.Errorf("fleet: trace line %d: vm record before the horizon record (streaming traces need the prologue first)", s.line)
+			if s.rd.horizon <= 0 {
+				return nil, fmt.Errorf("fleet: trace line %d: vm record before the horizon record (streaming traces need the prologue first)", s.rd.line)
 			}
 			s.pending = parts
 			break
 		}
-		if err := s.prologueRecord(parts); err != nil {
+		if err := s.rd.prologueRecord(parts); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-func (s *csvSource) prologueRecord(parts []string) error {
-	switch parts[0] {
-	case "horizon":
-		if len(parts) != 2 {
-			return fmt.Errorf("fleet: trace line %d: want 'horizon,seconds', got %q", s.line, strings.Join(parts, ","))
-		}
-		secs, err := parseSeconds(parts[1])
-		if err != nil {
-			return fmt.Errorf("fleet: trace line %d: %w", s.line, err)
-		}
-		if s.horizon != 0 {
-			return fmt.Errorf("fleet: trace line %d: duplicate horizon", s.line)
-		}
-		s.horizon = sim.FromSeconds(secs)
-		if s.horizon <= 0 {
-			return fmt.Errorf("fleet: trace line %d: horizon %v not positive", s.line, s.horizon)
-		}
-	case "class":
-		if len(parts) != 4 {
-			return fmt.Errorf("fleet: trace line %d: want 'class,name,credit_pct,memory_mb', got %q", s.line, strings.Join(parts, ","))
-		}
-		credit, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			return fmt.Errorf("fleet: trace line %d: %w", s.line, err)
-		}
-		mem, err := strconv.Atoi(parts[3])
-		if err != nil {
-			return fmt.Errorf("fleet: trace line %d: %w", s.line, err)
-		}
-		c := VMClass{Name: parts[1], CreditPct: credit, MemoryMB: mem}
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("fleet: trace line %d: %w", s.line, err)
-		}
-		if _, dup := s.classes[c.Name]; dup {
-			return fmt.Errorf("fleet: trace line %d: duplicate class %q", s.line, c.Name)
-		}
-		s.classes[c.Name] = c
-	default:
-		return fmt.Errorf("fleet: trace line %d: unknown record %q", s.line, parts[0])
-	}
-	return nil
-}
-
-// scanRecord returns the next non-comment record's trimmed fields.
-func (s *csvSource) scanRecord() ([]string, bool) {
-	for s.sc.Scan() {
-		s.line++
-		text := strings.TrimSpace(s.sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		parts := strings.Split(text, ",")
-		for i := range parts {
-			parts[i] = strings.TrimSpace(parts[i])
-		}
-		return parts, true
-	}
-	if err := s.sc.Err(); err != nil {
-		s.err = fmt.Errorf("fleet: read trace: %w", err)
-	}
-	return nil, false
-}
-
-func (s *csvSource) Classes() map[string]VMClass { return s.classes }
-func (s *csvSource) Horizon() sim.Time           { return s.horizon }
+func (s *csvSource) Classes() map[string]VMClass { return s.rd.classes }
+func (s *csvSource) Horizon() sim.Time           { return s.rd.horizon }
 func (s *csvSource) Err() error                  { return s.err }
 
 func (s *csvSource) Next() (VMEvent, bool) {
@@ -229,8 +160,9 @@ func (s *csvSource) Next() (VMEvent, bool) {
 	s.pending = nil
 	if parts == nil {
 		var ok bool
-		parts, ok = s.scanRecord()
+		parts, ok = s.rd.scan()
 		if !ok {
+			s.err = s.rd.err
 			s.done = true
 			return VMEvent{}, false
 		}
@@ -246,36 +178,18 @@ func (s *csvSource) Next() (VMEvent, bool) {
 
 func (s *csvSource) vmRecord(parts []string) (VMEvent, error) {
 	if parts[0] != "vm" {
-		return VMEvent{}, fmt.Errorf("fleet: trace line %d: %s record after the first vm record (streaming traces need the prologue first)", s.line, parts[0])
+		return VMEvent{}, fmt.Errorf("fleet: trace line %d: %s record after the first vm record (streaming traces need the prologue first)", s.rd.line, parts[0])
 	}
-	if len(parts) != 6 {
-		return VMEvent{}, fmt.Errorf("fleet: trace line %d: want 'vm,name,arrive_s,lifetime_s,class,activity', got %q", s.line, strings.Join(parts, ","))
-	}
-	arrive, err := parseSeconds(parts[2])
+	ev, err := s.rd.vmRecord(parts)
 	if err != nil {
-		return VMEvent{}, fmt.Errorf("fleet: trace line %d: %w", s.line, err)
-	}
-	lifetime, err := parseSeconds(parts[3])
-	if err != nil {
-		return VMEvent{}, fmt.Errorf("fleet: trace line %d: %w", s.line, err)
-	}
-	activity, err := strconv.ParseFloat(parts[5], 64)
-	if err != nil {
-		return VMEvent{}, fmt.Errorf("fleet: trace line %d: %w", s.line, err)
-	}
-	ev := VMEvent{
-		Name:     parts[1],
-		Class:    parts[4],
-		Arrive:   sim.FromSeconds(arrive),
-		Lifetime: sim.FromSeconds(lifetime),
-		Activity: activity,
+		return VMEvent{}, err
 	}
 	if !s.first {
 		if ev.Arrive < s.prevArrive || (ev.Arrive == s.prevArrive && ev.Name < s.prevName) {
-			return VMEvent{}, fmt.Errorf("fleet: trace line %d: vm records not sorted by (arrive, name)", s.line)
+			return VMEvent{}, fmt.Errorf("fleet: trace line %d: vm records not sorted by (arrive, name)", s.rd.line)
 		}
 		if ev.Arrive == s.prevArrive && ev.Name == s.prevName {
-			return VMEvent{}, fmt.Errorf("fleet: trace line %d: duplicate VM name %q", s.line, ev.Name)
+			return VMEvent{}, fmt.Errorf("fleet: trace line %d: duplicate VM name %q", s.rd.line, ev.Name)
 		}
 	}
 	s.first = false

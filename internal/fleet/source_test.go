@@ -178,53 +178,6 @@ func TestParseTraceStreamErrors(t *testing.T) {
 	}
 }
 
-// TestFleetStreamedSourceEquivalence extends the tentpole equivalence
-// check to the streaming path: a fleet consuming GenerateStream
-// directly must produce a report and flight-recorder event stream
-// DeepEqual-bit-exact to the materialized-trace baseline, for every
-// shard x worker combination.
-func TestFleetStreamedSourceEquivalence(t *testing.T) {
-	seed := uint64(7)
-	gen := GenConfig{
-		Seed:         seed,
-		Arrivals:     140,
-		Horizon:      300 * sim.Second,
-		MeanLifetime: 45 * sim.Second,
-		BaseActivity: 0.5,
-		SegmentLen:   30 * sim.Second,
-	}
-	tr := genTrace(t, gen)
-	want, wantEv := runFleetObs(t, churnConfig(1, 1, seed), tr, 300*sim.Second)
-	if want.Summary.Migrated == 0 || want.Summary.Departed == 0 {
-		t.Fatalf("no churn, comparison is vacuous: %+v", want.Summary)
-	}
-	for _, shards := range []int{1, 2, 4, 7} {
-		for _, workers := range []int{1, 4} {
-			src, err := GenerateStream(gen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fl, err := NewStream(churnConfig(shards, workers, seed), src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := fl.Run(300 * sim.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shards=%d workers=%d: streamed report differs from materialized 1x1:\n%+v\nvs\n%+v",
-					shards, workers, got.Summary, want.Summary)
-			}
-			gotEv := fl.ObsEvents()
-			if !reflect.DeepEqual(gotEv, wantEv) {
-				t.Errorf("shards=%d workers=%d: streamed event stream differs (%d vs %d events)",
-					shards, workers, len(gotEv), len(wantEv))
-			}
-		}
-	}
-}
-
 // TestNewStreamValidation: the streaming constructor and run surface
 // the errors Trace.Validate would have raised up front.
 func TestNewStreamValidation(t *testing.T) {
@@ -341,66 +294,4 @@ func TestStreamedRunMemoryBounded(t *testing.T) {
 		t.Errorf("10x arrivals grew peak heap %.1f MB -> %.1f MB (> %.0f MB slack): trace residency is not streamed",
 			float64(small)/(1<<20), float64(large)/(1<<20), float64(slack)/(1<<20))
 	}
-}
-
-// FuzzShardMigrationStreamed is FuzzShardMigration fed by the streaming
-// generator: arbitrary shard/worker counts against the materialized 1x1
-// baseline, with the trace never materialized on the streamed side.
-func FuzzShardMigrationStreamed(f *testing.F) {
-	f.Add(uint64(1), uint8(40), uint8(30), uint8(3), uint8(2))
-	f.Add(uint64(7), uint8(60), uint8(15), uint8(7), uint8(4))
-	f.Add(uint64(42), uint8(25), uint8(60), uint8(2), uint8(1))
-
-	f.Fuzz(func(t *testing.T, seed uint64, arrivals, life, shards, workers uint8) {
-		horizon := 120 * sim.Second
-		gen := GenConfig{
-			Seed:         seed,
-			Arrivals:     5 + int(arrivals%56),
-			Horizon:      horizon,
-			MeanLifetime: sim.Time(10+int(life)%80) * sim.Second,
-			BaseActivity: 0.6,
-			SegmentLen:   30 * sim.Second,
-		}
-		tr, err := Generate(gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := func(s, w int) Config {
-			return Config{
-				Machines:         testMachines(4, 2),
-				Scheduler:        "pas",
-				Policy:           NewBestFit(),
-				ReportEvery:      15 * sim.Second,
-				ConsolidateEvery: 15 * sim.Second,
-				Shards:           s,
-				Workers:          w,
-				Seed:             seed,
-			}
-		}
-		fl, err := New(cfg(1, 1), tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := fl.Run(horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, w := 1+int(shards)%7, 1+int(workers)%4
-		src, err := GenerateStream(gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs, err := NewStream(cfg(s, w), src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fs.Run(horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("streamed shards=%d workers=%d: report differs from materialized 1x1:\n%+v\nvs\n%+v",
-				s, w, got.Summary, want.Summary)
-		}
-	})
 }

@@ -188,13 +188,60 @@ func (t *Trace) sortEvents() {
 // Records may appear in any order; events are sorted by arrival time. The
 // parsed trace is fully validated before it is returned.
 func ParseTrace(r io.Reader) (*Trace, error) {
-	t := &Trace{Classes: make(map[string]VMClass)}
+	rd := newTraceReader(r)
+	var events []VMEvent
+	for {
+		parts, ok := rd.scan()
+		if !ok {
+			break
+		}
+		if parts[0] != "vm" {
+			if err := rd.prologueRecord(parts); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		ev, err := rd.vmRecord(parts)
+		if err != nil {
+			return nil, err
+		}
+		events = append(events, ev)
+	}
+	if rd.err != nil {
+		return nil, rd.err
+	}
+	t := &Trace{Classes: rd.classes, Events: events, Horizon: rd.horizon}
+	t.sortEvents()
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// traceReader reads the trace CSV format record by record, keeping the
+// prologue (horizon and class catalogue) it has seen. ParseTrace and
+// the streaming ParseTraceStream share it.
+type traceReader struct {
+	sc      *bufio.Scanner
+	line    int
+	err     error // read error, set once scan returns false
+	horizon sim.Time
+	classes map[string]VMClass
+}
+
+func newTraceReader(r io.Reader) *traceReader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
+	return &traceReader{sc: sc, classes: make(map[string]VMClass)}
+}
+
+// scan returns the next record's trimmed fields, skipping blank lines
+// and '#' comments; ok=false at end of input or on a read error (then
+// held in err).
+func (rd *traceReader) scan() ([]string, bool) {
+	for rd.sc.Scan() {
+		rd.line++
+		text := strings.TrimSpace(rd.sc.Text())
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
@@ -202,74 +249,83 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 		for i := range parts {
 			parts[i] = strings.TrimSpace(parts[i])
 		}
-		switch parts[0] {
-		case "horizon":
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("fleet: trace line %d: want 'horizon,seconds', got %q", line, text)
-			}
-			secs, err := parseSeconds(parts[1])
-			if err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", line, err)
-			}
-			if t.Horizon != 0 {
-				return nil, fmt.Errorf("fleet: trace line %d: duplicate horizon", line)
-			}
-			t.Horizon = sim.FromSeconds(secs)
-		case "class":
-			if len(parts) != 4 {
-				return nil, fmt.Errorf("fleet: trace line %d: want 'class,name,credit_pct,memory_mb', got %q", line, text)
-			}
-			credit, err := strconv.ParseFloat(parts[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", line, err)
-			}
-			mem, err := strconv.Atoi(parts[3])
-			if err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", line, err)
-			}
-			c := VMClass{Name: parts[1], CreditPct: credit, MemoryMB: mem}
-			if err := c.Validate(); err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", line, err)
-			}
-			if _, dup := t.Classes[c.Name]; dup {
-				return nil, fmt.Errorf("fleet: trace line %d: duplicate class %q", line, c.Name)
-			}
-			t.Classes[c.Name] = c
-		case "vm":
-			if len(parts) != 6 {
-				return nil, fmt.Errorf("fleet: trace line %d: want 'vm,name,arrive_s,lifetime_s,class,activity', got %q", line, text)
-			}
-			arrive, err := parseSeconds(parts[2])
-			if err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", line, err)
-			}
-			lifetime, err := parseSeconds(parts[3])
-			if err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", line, err)
-			}
-			activity, err := strconv.ParseFloat(parts[5], 64)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", line, err)
-			}
-			t.Events = append(t.Events, VMEvent{
-				Name:     parts[1],
-				Class:    parts[4],
-				Arrive:   sim.FromSeconds(arrive),
-				Lifetime: sim.FromSeconds(lifetime),
-				Activity: activity,
-			})
-		default:
-			return nil, fmt.Errorf("fleet: trace line %d: unknown record %q", line, parts[0])
+		return parts, true
+	}
+	if err := rd.sc.Err(); err != nil {
+		rd.err = fmt.Errorf("fleet: read trace: %w", err)
+	}
+	return nil, false
+}
+
+// prologueRecord applies a horizon or class record; any other record
+// kind is an error.
+func (rd *traceReader) prologueRecord(parts []string) error {
+	switch parts[0] {
+	case "horizon":
+		if len(parts) != 2 {
+			return fmt.Errorf("fleet: trace line %d: want 'horizon,seconds', got %q", rd.line, strings.Join(parts, ","))
 		}
+		secs, err := parseSeconds(parts[1])
+		if err != nil {
+			return fmt.Errorf("fleet: trace line %d: %w", rd.line, err)
+		}
+		if rd.horizon != 0 {
+			return fmt.Errorf("fleet: trace line %d: duplicate horizon", rd.line)
+		}
+		rd.horizon = sim.FromSeconds(secs)
+		if rd.horizon <= 0 {
+			return fmt.Errorf("fleet: trace line %d: horizon %v not positive", rd.line, rd.horizon)
+		}
+	case "class":
+		if len(parts) != 4 {
+			return fmt.Errorf("fleet: trace line %d: want 'class,name,credit_pct,memory_mb', got %q", rd.line, strings.Join(parts, ","))
+		}
+		credit, err := strconv.ParseFloat(parts[2], 64)
+		if err != nil {
+			return fmt.Errorf("fleet: trace line %d: %w", rd.line, err)
+		}
+		mem, err := strconv.Atoi(parts[3])
+		if err != nil {
+			return fmt.Errorf("fleet: trace line %d: %w", rd.line, err)
+		}
+		c := VMClass{Name: parts[1], CreditPct: credit, MemoryMB: mem}
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("fleet: trace line %d: %w", rd.line, err)
+		}
+		if _, dup := rd.classes[c.Name]; dup {
+			return fmt.Errorf("fleet: trace line %d: duplicate class %q", rd.line, c.Name)
+		}
+		rd.classes[c.Name] = c
+	default:
+		return fmt.Errorf("fleet: trace line %d: unknown record %q", rd.line, parts[0])
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fleet: read trace: %w", err)
+	return nil
+}
+
+// vmRecord parses the fields of a vm record.
+func (rd *traceReader) vmRecord(parts []string) (VMEvent, error) {
+	if len(parts) != 6 {
+		return VMEvent{}, fmt.Errorf("fleet: trace line %d: want 'vm,name,arrive_s,lifetime_s,class,activity', got %q", rd.line, strings.Join(parts, ","))
 	}
-	t.sortEvents()
-	if err := t.Validate(); err != nil {
-		return nil, err
+	arrive, err := parseSeconds(parts[2])
+	if err != nil {
+		return VMEvent{}, fmt.Errorf("fleet: trace line %d: %w", rd.line, err)
 	}
-	return t, nil
+	lifetime, err := parseSeconds(parts[3])
+	if err != nil {
+		return VMEvent{}, fmt.Errorf("fleet: trace line %d: %w", rd.line, err)
+	}
+	activity, err := strconv.ParseFloat(parts[5], 64)
+	if err != nil {
+		return VMEvent{}, fmt.Errorf("fleet: trace line %d: %w", rd.line, err)
+	}
+	return VMEvent{
+		Name:     parts[1],
+		Class:    parts[4],
+		Arrive:   sim.FromSeconds(arrive),
+		Lifetime: sim.FromSeconds(lifetime),
+		Activity: activity,
+	}, nil
 }
 
 // WriteCSV writes the trace in the format ParseTrace reads, so generated

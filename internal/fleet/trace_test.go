@@ -58,6 +58,7 @@ func TestParseTraceErrors(t *testing.T) {
 		"duplicate class":   "horizon,10\nclass,a,10,1024\nclass,a,20,2048\nvm,x,0,10,a,0.5\n",
 		"duplicate vm":      "horizon,10\nclass,a,10,1024\nvm,x,0,10,a,0.5\nvm,x,1,10,a,0.5\n",
 		"duplicate horizon": "horizon,10\nhorizon,20\nclass,a,10,1024\nvm,x,0,10,a,0.5\n",
+		"zero then horizon": "horizon,0\nhorizon,10\nclass,a,10,1024\nvm,x,0,5,a,0.5\n",
 		"bad field count":   "horizon,10\nclass,a,10,1024\nvm,x,0,10,a\n",
 		"bad float":         "horizon,10\nclass,a,10,1024\nvm,x,zero,10,a,0.5\n",
 		"nan seconds":       "horizon,10\nclass,a,10,1024\nvm,x,NaN,10,a,0.5\n",

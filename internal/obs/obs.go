@@ -218,27 +218,41 @@ type EventSink interface {
 	Finish(at sim.Time) error
 }
 
+// Collector is an EventSink that retains a copy of every merged window:
+// the run's whole event stream in memory, for tests and small runs.
+type Collector struct {
+	// Stream holds every event received, in merged (At, Lane, Seq)
+	// order across windows.
+	Stream []Event
+}
+
+// Events implements EventSink.
+func (c *Collector) Events(window []Event) error {
+	c.Stream = append(c.Stream, window...)
+	return nil
+}
+
+// Finish implements EventSink.
+func (c *Collector) Finish(sim.Time) error { return nil }
+
 // Recorder owns the per-shard rings and the coordinator ring, merges
 // them into deterministic windows at barriers, and feeds the optional
-// sink and in-memory buffer.
+// sink.
 type Recorder struct {
 	rings   []*Ring // per shard, then the coordinator ring last
 	sink    EventSink
-	keep    bool
-	all     []Event
 	scratch []Event
 	total   int64
 }
 
 // NewRecorder builds a recorder for the given shard count. sink, when
-// non-nil, receives every merged window; keep retains the merged stream
-// in memory for Events().
-func NewRecorder(shards int, sink EventSink, keep bool) *Recorder {
+// non-nil, receives every merged window.
+func NewRecorder(shards int, sink EventSink) *Recorder {
 	rings := make([]*Ring, shards+1)
 	for i := range rings {
 		rings[i] = &Ring{}
 	}
-	return &Recorder{rings: rings, sink: sink, keep: keep}
+	return &Recorder{rings: rings, sink: sink}
 }
 
 // Ring returns shard's ring.
@@ -248,8 +262,8 @@ func (r *Recorder) Ring(shard int) *Ring { return r.rings[shard] }
 func (r *Recorder) CoordinatorRing() *Ring { return r.rings[len(r.rings)-1] }
 
 // Drain merges every ring's pending events into one window sorted by
-// (At, Lane, Seq), dispatches it to the sink and buffer, and recycles
-// the ring buffers. It must run with every shard parked at a barrier.
+// (At, Lane, Seq), dispatches it to the sink and recycles the ring
+// buffers. It must run with every shard parked at a barrier.
 func (r *Recorder) Drain() error {
 	n := 0
 	for _, rg := range r.rings {
@@ -274,9 +288,6 @@ func (r *Recorder) Drain() error {
 	})
 	r.scratch = w
 	r.total += int64(n)
-	if r.keep {
-		r.all = append(r.all, w...)
-	}
 	if r.sink != nil {
 		return r.sink.Events(w)
 	}
@@ -293,10 +304,6 @@ func (r *Recorder) Finish(at sim.Time) error {
 	}
 	return nil
 }
-
-// Events returns the retained merged stream (nil unless the recorder
-// was built with keep).
-func (r *Recorder) Events() []Event { return r.all }
 
 // Total returns how many events have been drained so far.
 func (r *Recorder) Total() int64 { return r.total }

@@ -27,30 +27,30 @@ func TestKindAndStateNames(t *testing.T) {
 	}
 }
 
-// collectSink buffers every window it receives.
-type collectSink struct {
-	windows  [][]Event
-	finished sim.Time
+// windowCounter is a Collector that also counts the windows it
+// receives and records the Finish time.
+type windowCounter struct {
+	Collector
+	windows int
+	end     sim.Time
 }
 
-func (c *collectSink) Events(w []Event) error {
-	cp := make([]Event, len(w))
-	copy(cp, w)
-	c.windows = append(c.windows, cp)
-	return nil
+func (c *windowCounter) Events(w []Event) error {
+	c.windows++
+	return c.Collector.Events(w)
 }
 
-func (c *collectSink) Finish(at sim.Time) error {
-	c.finished = at
+func (c *windowCounter) Finish(at sim.Time) error {
+	c.end = at
 	return nil
 }
 
 // TestRecorderMerge: events written to different rings merge into one
 // window sorted by (At, Lane, Seq), the buffers recycle between drains,
-// and keep retains the concatenated stream.
+// and a Collector sink retains the concatenated stream.
 func TestRecorderMerge(t *testing.T) {
-	sink := &collectSink{}
-	r := NewRecorder(2, sink, true)
+	sink := &windowCounter{}
+	r := NewRecorder(2, sink)
 
 	m0 := NewMachineObs(r.Ring(0), 0)
 	m1 := NewMachineObs(r.Ring(1), 1)
@@ -70,8 +70,8 @@ func TestRecorderMerge(t *testing.T) {
 		{At: 5, Lane: 1, Seq: 1, Kind: KindRefill},
 		{At: 10, Lane: 0, Seq: 1, Kind: KindVMState, VM: "a", A: int64(StateRun)},
 	}
-	if len(sink.windows) != 1 || !reflect.DeepEqual(sink.windows[0], want) {
-		t.Fatalf("merged window:\n%+v\nwant\n%+v", sink.windows, want)
+	if sink.windows != 1 || !reflect.DeepEqual(sink.Stream, want) {
+		t.Fatalf("%d windows, merged stream:\n%+v\nwant\n%+v", sink.windows, sink.Stream, want)
 	}
 
 	// Second window: rings were recycled, sequence numbers continue.
@@ -79,27 +79,24 @@ func TestRecorderMerge(t *testing.T) {
 	if err := r.Finish(30); err != nil {
 		t.Fatal(err)
 	}
-	if sink.finished != 30 {
-		t.Errorf("Finish time %v, want 30", sink.finished)
+	if sink.end != 30 {
+		t.Errorf("Finish time %v, want 30", sink.end)
 	}
-	if len(sink.windows) != 2 {
-		t.Fatalf("windows: %d, want 2", len(sink.windows))
+	if sink.windows != 2 {
+		t.Fatalf("windows: %d, want 2", sink.windows)
 	}
-	if got := sink.windows[1][0].Seq; got != 3 {
+	if r.Total() != 5 || len(sink.Stream) != 5 {
+		t.Fatalf("Total() = %d, collected %d, want 5", r.Total(), len(sink.Stream))
+	}
+	if got := sink.Stream[4].Seq; got != 3 {
 		t.Errorf("lane 0 sequence restarted: seq %d, want 3", got)
-	}
-	if r.Total() != 5 {
-		t.Errorf("Total() = %d, want 5", r.Total())
-	}
-	if len(r.Events()) != 5 {
-		t.Errorf("Events() retained %d, want 5", len(r.Events()))
 	}
 
 	// An empty drain is a no-op for the sink.
 	if err := r.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.windows) != 2 {
+	if sink.windows != 2 {
 		t.Errorf("empty drain produced a window")
 	}
 }

@@ -36,6 +36,7 @@ type PerfettoWriter struct {
 	err     error
 	wrote   bool
 	tracks  map[trackKey]*vmTrack
+	order   []*vmTrack // tracks in creation order, for a deterministic Finish
 	nextTid map[int32]int64
 	procs   map[int32]bool
 }
@@ -47,6 +48,7 @@ type trackKey struct {
 
 // vmTrack is one VM's thread within a machine process.
 type vmTrack struct {
+	lane      int32
 	tid       int64
 	nameJSON  []byte // JSON-escaped VM name
 	queueJSON []byte // JSON-escaped "queue:<vm>" counter name, lazily built
@@ -111,9 +113,10 @@ func (p *PerfettoWriter) track(lane int32, vmName string) *vmTrack {
 	}
 	p.process(lane)
 	p.nextTid[lane]++
-	t := &vmTrack{tid: p.nextTid[lane]}
+	t := &vmTrack{lane: lane, tid: p.nextTid[lane]}
 	t.nameJSON, _ = json.Marshal(vmName)
 	p.tracks[k] = t
+	p.order = append(p.order, t)
 	p.emitf(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%s}}`,
 		pid(lane), t.tid, t.nameJSON)
 	return t
@@ -121,14 +124,14 @@ func (p *PerfettoWriter) track(lane int32, vmName string) *vmTrack {
 
 // closeSlice emits the open state slice of t (if any) as a complete
 // event ending at time at. Idle spans are gaps: no slice is emitted.
-func (p *PerfettoWriter) closeSlice(lane int32, t *vmTrack, at sim.Time) {
+func (p *PerfettoWriter) closeSlice(t *vmTrack, at sim.Time) {
 	st := t.openState
 	t.openState = StateNone
 	if st == StateNone || st == StateIdle {
 		return
 	}
 	p.emitf(`{"ph":"X","name":%q,"cat":"vm","pid":%d,"tid":%d,"ts":%d,"dur":%d}`,
-		st.String(), pid(lane), t.tid, int64(t.openAt), int64(at-t.openAt))
+		st.String(), pid(t.lane), t.tid, int64(t.openAt), int64(at-t.openAt))
 }
 
 // counter emits one counter sample; name must be pre-escaped JSON.
@@ -174,7 +177,7 @@ func (p *PerfettoWriter) Events(window []Event) error {
 		switch e.Kind {
 		case KindVMState:
 			t := p.track(e.Lane, e.VM)
-			p.closeSlice(e.Lane, t, e.At)
+			p.closeSlice(t, e.At)
 			t.openAt = e.At
 			t.openState = State(e.A)
 		case KindPState:
@@ -223,11 +226,12 @@ func (p *PerfettoWriter) Events(window []Event) error {
 }
 
 // Finish implements EventSink: it closes every open slice at the run's
-// end time and terminates the JSON document.
+// end time, in track-creation order so identical runs export identical
+// bytes, and terminates the JSON document.
 func (p *PerfettoWriter) Finish(at sim.Time) error {
-	for k, t := range p.tracks {
+	for _, t := range p.order {
 		if t.openState != StateNone && at > t.openAt {
-			p.closeSlice(k.lane, t, at)
+			p.closeSlice(t, at)
 		}
 	}
 	p.raw("\n]}\n")
