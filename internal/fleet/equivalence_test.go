@@ -286,56 +286,98 @@ func TestFleetShardEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzShardEquivalence fuzzes the sharding contract over churn, shard
-// and worker counts and the feature mask: the cell's report and event
-// stream must be DeepEqual-bit-exact to the materialized 1x1 run.
-// Consolidation fires at every barrier, so VMs keep crossing shard
-// boundaries mid-run.
+// fuzzShardCase checks the sharding contract on one fuzz input: the
+// cell's report and event stream must be DeepEqual-bit-exact to the
+// materialized 1x1 run. Consolidation fires at every barrier, so VMs
+// keep crossing shard boundaries mid-run.
+func fuzzShardCase(t *testing.T, seed uint64, arrivals, life, shards, workers uint8, feats features) {
+	t.Helper()
+	activity := 0.6
+	if feats&featAutoscale != 0 {
+		activity = 0.9
+	}
+	sc := scenario{
+		gen: GenConfig{
+			Seed:         seed,
+			Arrivals:     5 + int(arrivals%56),
+			Horizon:      120 * sim.Second,
+			MeanLifetime: sim.Time(10+int(life)%80) * sim.Second,
+			BaseActivity: activity,
+			SegmentLen:   30 * sim.Second,
+		},
+		opti: 4, xeon: 2,
+		reportEvery:      15 * sim.Second,
+		consolidateEvery: 15 * sim.Second,
+	}
+	checkShardEquivalence(t, sc, feats,
+		[]cell{{1 + int(shards)%7, 1 + int(workers)%4, feats&featStream != 0}})
+}
+
+// fuzzSeed is one corpus entry: trace seed, arrival and lifetime knobs,
+// and the shard and worker counts of the checked cell.
+type fuzzSeed struct {
+	seed                            uint64
+	arrivals, life, shards, workers uint8
+}
+
+// fuzzLayer fuzzes the sharding contract with the feature mask fixed to
+// feats, starting from corpus.
+func fuzzLayer(f *testing.F, feats features, corpus []fuzzSeed) {
+	for _, e := range corpus {
+		f.Add(e.seed, e.arrivals, e.life, e.shards, e.workers)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, arrivals, life, shards, workers uint8) {
+		fuzzShardCase(t, seed, arrivals, life, shards, workers, feats)
+	})
+}
+
+// FuzzShardMigration fuzzes cross-shard migration with best-fit
+// placement and no layers on top of the VMs.
+func FuzzShardMigration(f *testing.F) {
+	fuzzLayer(f, 0, []fuzzSeed{{1, 40, 30, 3, 2}, {7, 60, 15, 7, 4}, {42, 25, 60, 2, 1}, {99, 50, 20, 5, 3}})
+}
+
+// FuzzShardMigrationStreamed is FuzzShardMigration with the cell
+// pulling its trace from GenerateStream.
+func FuzzShardMigrationStreamed(f *testing.F) {
+	fuzzLayer(f, featStream, []fuzzSeed{{1, 40, 30, 3, 2}, {7, 60, 15, 7, 4}, {42, 25, 60, 2, 1}})
+}
+
+// FuzzServeShardEquivalence fuzzes the sharding contract with the
+// request-level serving layer on.
+func FuzzServeShardEquivalence(f *testing.F) {
+	fuzzLayer(f, featServe, []fuzzSeed{{2, 40, 30, 3, 2}, {11, 60, 15, 7, 4}, {31, 25, 60, 2, 1}, {77, 50, 20, 5, 3}})
+}
+
+// FuzzObsShardEquivalence fuzzes the sharding contract with serving and
+// the flight recorder on, comparing event streams too.
+func FuzzObsShardEquivalence(f *testing.F) {
+	fuzzLayer(f, featServe|featObs, []fuzzSeed{{3, 40, 30, 3, 2}, {13, 60, 15, 7, 4}, {37, 25, 60, 2, 1}, {71, 50, 20, 5, 3}})
+}
+
+// FuzzAutoscaleShardEquivalence fuzzes the sharding contract with the
+// ditto autoscaler resizing and replicating VMs.
+func FuzzAutoscaleShardEquivalence(f *testing.F) {
+	fuzzLayer(f, featServe|featObs|featAutoscale, []fuzzSeed{{5, 40, 30, 3, 2}, {17, 60, 15, 7, 4}, {41, 25, 60, 2, 1}, {73, 50, 20, 5, 3}})
+}
+
+// FuzzShardEquivalence fuzzes the feature mask as well, so one fuzz run
+// reaches every layer combination and placement policy. The per-layer
+// targets above hold the layer corpora; this corpus adds what they
+// never sharded.
 func FuzzShardEquivalence(f *testing.F) {
 	for _, e := range []struct {
-		seed                            uint64
-		arrivals, life, shards, workers uint8
-		mask                            features
+		fuzzSeed
+		mask features
 	}{
-		// The corpora of the five per-layer fuzzers this target
-		// replaced, each under its layer's mask; all ran best-fit.
-		{1, 40, 30, 3, 2, 0}, {7, 60, 15, 7, 4, 0}, {42, 25, 60, 2, 1, 0}, {99, 50, 20, 5, 3, 0},
-		{1, 40, 30, 3, 2, featStream}, {7, 60, 15, 7, 4, featStream}, {42, 25, 60, 2, 1, featStream},
-		{2, 40, 30, 3, 2, featServe}, {11, 60, 15, 7, 4, featServe},
-		{31, 25, 60, 2, 1, featServe}, {77, 50, 20, 5, 3, featServe},
-		{3, 40, 30, 3, 2, featServe | featObs}, {13, 60, 15, 7, 4, featServe | featObs},
-		{37, 25, 60, 2, 1, featServe | featObs}, {71, 50, 20, 5, 3, featServe | featObs},
-		{5, 40, 30, 3, 2, featServe | featObs | featAutoscale}, {17, 60, 15, 7, 4, featServe | featObs | featAutoscale},
-		{41, 25, 60, 2, 1, featServe | featObs | featAutoscale}, {73, 50, 20, 5, 3, featServe | featObs | featAutoscale},
-		// Placement policies and layers those fuzzers never sharded.
-		{1, 40, 30, 3, 2, placeFirstFit},
-		{7, 60, 15, 7, 4, placeDVFSAware | featServe | featObs},
-		{42, 25, 60, 2, 1, placeDVFSAware | featStream},
-		{21, 50, 20, 5, 3, featServe | featObs | featClosedLoop},
+		{fuzzSeed{1, 40, 30, 3, 2}, placeFirstFit},
+		{fuzzSeed{7, 60, 15, 7, 4}, placeDVFSAware | featServe | featObs},
+		{fuzzSeed{42, 25, 60, 2, 1}, placeDVFSAware | featStream},
+		{fuzzSeed{21, 50, 20, 5, 3}, featServe | featObs | featClosedLoop},
 	} {
 		f.Add(e.seed, e.arrivals, e.life, e.shards, e.workers, uint8(e.mask))
 	}
-
 	f.Fuzz(func(t *testing.T, seed uint64, arrivals, life, shards, workers, mask uint8) {
-		feats := features(mask)
-		activity := 0.6
-		if feats&featAutoscale != 0 {
-			activity = 0.9
-		}
-		sc := scenario{
-			gen: GenConfig{
-				Seed:         seed,
-				Arrivals:     5 + int(arrivals%56),
-				Horizon:      120 * sim.Second,
-				MeanLifetime: sim.Time(10+int(life)%80) * sim.Second,
-				BaseActivity: activity,
-				SegmentLen:   30 * sim.Second,
-			},
-			opti: 4, xeon: 2,
-			reportEvery:      15 * sim.Second,
-			consolidateEvery: 15 * sim.Second,
-		}
-		checkShardEquivalence(t, sc, feats,
-			[]cell{{1 + int(shards)%7, 1 + int(workers)%4, feats&featStream != 0}})
+		fuzzShardCase(t, seed, arrivals, life, shards, workers, features(mask))
 	})
 }
