@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"pasched/internal/core"
 	"pasched/internal/cpufreq"
 	"pasched/internal/energy"
 	"pasched/internal/host"
@@ -255,8 +256,8 @@ func Simulate(p *Placement, vms []VMSpec, spec HostSpec, dur sim.Time, scheduler
 // hardware spec.
 type HostOptions struct {
 	// Scheduler names the machine's scheduler, resolved against the
-	// scheduler registry (see SchedulerNames for the accepted values and
-	// Schedulers for descriptions). Empty selects "credit".
+	// scheduler registry (see core.SchedulerNames for the accepted values
+	// and core.Schedulers for descriptions). Empty selects "credit".
 	Scheduler string
 	// Reference forces the reference quantum-by-quantum stepping path
 	// (host.Config.Reference), for batched==reference equivalence tests.
@@ -275,9 +276,9 @@ type HostOptions struct {
 
 // NewHost assembles one simulated machine from the spec: a CPU with the
 // spec's frequency ladder, the scheduler named by opts.Scheduler (PAS
-// credits compensated at reduced frequencies with the load source bound
-// to the host, or e.g. a plain fix-credit scheduler pinned at the
-// maximum frequency), plus a Dom0 with the reserved share. It is the
+// credits compensated at reduced frequencies, driven by the host's own
+// load, or e.g. a plain fix-credit scheduler pinned at the maximum
+// frequency), plus a Dom0 with the reserved share. It is the
 // machine constructor shared by Simulate here and the heterogeneous
 // fleet (internal/fleet).
 func NewHost(spec HostSpec, opts HostOptions) (*host.Host, error) {
@@ -289,11 +290,7 @@ func NewHost(spec HostSpec, opts HostOptions) (*host.Host, error) {
 	if name == "" {
 		name = "credit"
 	}
-	entry, ok := lookupScheduler(name)
-	if !ok {
-		return nil, fmt.Errorf("consolidation: unknown scheduler %q (%s)", name, SchedulerNames())
-	}
-	s, bind, err := entry.build(cpu, spec.Profile)
+	s, err := core.NewScheduler(name, cpu, spec.Profile.EfficiencyTable())
 	if err != nil {
 		return nil, err
 	}
@@ -306,9 +303,6 @@ func NewHost(spec HostSpec, opts HostOptions) (*host.Host, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if bind != nil {
-		bind.BindLoadSource(h)
 	}
 	dom0, err := vm.New(0, vm.Config{Name: "Dom0", Credit: spec.Dom0ReservePct, Priority: 1})
 	if err != nil {

@@ -200,7 +200,6 @@ func pasHost(t *testing.T) (*host.Host, *core.PAS, *vm.VM, *vm.VM) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pas.BindLoadSource(h)
 
 	dom0, err := vm.New(0, vm.Config{Name: "Dom0", Credit: 10, Priority: 1})
 	if err != nil {
@@ -346,6 +345,8 @@ func TestPASWithoutLoadSourceIsPlainCredit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// host.New binds the host as the load source; detach it again.
+	pas.BindLoadSource(nil)
 	v20, err := vm.New(1, vm.Config{Name: "V20", Credit: 20})
 	if err != nil {
 		t.Fatal(err)

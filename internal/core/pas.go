@@ -9,13 +9,6 @@ import (
 	"pasched/internal/vm"
 )
 
-// LoadSource supplies the paper's Global load signal: the averaged recent
-// processor utilization in [0,1] ("an average of three successive
-// processor utilization", footnote 5). The host implements it.
-type LoadSource interface {
-	GlobalLoad() float64
-}
-
 // DefaultPASInterval is the default DVFS/credit recomputation interval:
 // the Xen scheduler tick of 10 ms ("at each tick in the VM scheduler, we
 // compute the appropriate processor frequency", Section 4.2).
@@ -61,9 +54,9 @@ type PASConfig struct {
 // equation 4).
 //
 // PAS implements sched.Scheduler by extending Credit, so it plugs into the
-// host like any other scheduler. The load signal is bound after host
-// construction with BindLoadSource; until then PAS schedules exactly like
-// Credit at a fixed frequency.
+// host like any other scheduler. The host binds itself as the load source
+// at construction (sched.LoadBinder); without a load source PAS schedules
+// exactly like Credit at a fixed frequency.
 type PAS struct {
 	credit      *sched.Credit
 	cpu         *cpufreq.CPU
@@ -73,7 +66,7 @@ type PAS struct {
 	settle      sim.Time
 	settleUntil sim.Time
 	next        sim.Time
-	loads       LoadSource
+	loads       sched.LoadSource
 	initCredit  map[vm.ID]float64
 	recomputes  int
 	tracer      sched.Tracer
@@ -88,6 +81,7 @@ var (
 	_ sched.PatternBatcher   = (*PAS)(nil)
 	_ sched.TraceSetter      = (*PAS)(nil)
 	_ sched.Throttler        = (*PAS)(nil)
+	_ sched.LoadBinder       = (*PAS)(nil)
 )
 
 // NewPAS builds a PAS scheduler.
@@ -132,9 +126,9 @@ func NewPAS(cfg PASConfig) (*PAS, error) {
 	}, nil
 }
 
-// BindLoadSource attaches the Global load signal. Typically called with
-// the host right after host construction.
-func (p *PAS) BindLoadSource(ls LoadSource) { p.loads = ls }
+// BindLoadSource implements sched.LoadBinder: it attaches the Global load
+// signal. host.New calls it with the host.
+func (p *PAS) BindLoadSource(ls sched.LoadSource) { p.loads = ls }
 
 // Name implements sched.Scheduler.
 func (p *PAS) Name() string { return "pas" }

@@ -31,8 +31,8 @@ import (
 // (both variants) and strict credit enforcement (caps only).
 //
 // PASCredit2 implements sched.Scheduler by extending Credit2, so it plugs
-// into the host like any other scheduler; bind the Global load signal
-// with BindLoadSource after host construction, exactly like PAS.
+// into the host like any other scheduler; the host binds itself as the
+// Global load source at construction, exactly like PAS.
 type PASCredit2 struct {
 	c2          *sched.Credit2
 	cpu         *cpufreq.CPU
@@ -42,7 +42,7 @@ type PASCredit2 struct {
 	settle      sim.Time
 	settleUntil sim.Time
 	next        sim.Time
-	loads       LoadSource
+	loads       sched.LoadSource
 	initCredit  map[vm.ID]float64
 	recomputes  int
 }
@@ -70,6 +70,7 @@ var (
 	_ sched.CapSetter        = (*PASCredit2)(nil)
 	_ sched.BoundaryReporter = (*PASCredit2)(nil)
 	_ sched.PatternBatcher   = (*PASCredit2)(nil)
+	_ sched.LoadBinder       = (*PASCredit2)(nil)
 )
 
 // NewPASCredit2 builds a Credit2-based PAS scheduler.
@@ -111,9 +112,9 @@ func NewPASCredit2(cfg PASCredit2Config) (*PASCredit2, error) {
 	}, nil
 }
 
-// BindLoadSource attaches the Global load signal. Typically called with
-// the host right after host construction.
-func (p *PASCredit2) BindLoadSource(ls LoadSource) { p.loads = ls }
+// BindLoadSource implements sched.LoadBinder: it attaches the Global load
+// signal. host.New calls it with the host.
+func (p *PASCredit2) BindLoadSource(ls sched.LoadSource) { p.loads = ls }
 
 // Name implements sched.Scheduler.
 func (p *PASCredit2) Name() string { return "pas-credit2" }

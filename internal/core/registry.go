@@ -1,16 +1,13 @@
-package consolidation
+package core
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 
-	"pasched/internal/core"
 	"pasched/internal/cpufreq"
 	"pasched/internal/sched"
 )
-
-// loadBinder is the hook PAS-family schedulers expose to observe the
-// host they run on; NewHost binds it after host construction.
-type loadBinder interface{ BindLoadSource(core.LoadSource) }
 
 // SchedulerSpec is one entry of the scheduler registry: the canonical
 // name every layer (fleet, consolidation, pasfleet, pastrace) accepts,
@@ -24,57 +21,62 @@ type SchedulerSpec struct {
 	// Description is the one-line usage-string description.
 	Description string
 
-	build func(cpu *cpufreq.CPU, profile *cpufreq.Profile) (sched.Scheduler, loadBinder, error)
+	build func(cpu *cpufreq.CPU, cf []float64) (sched.Scheduler, error)
 }
 
 // schedulerRegistry is the single source of truth for which per-machine
-// schedulers exist: fleet.Config.Scheduler, HostOptions.Scheduler and
-// every CLI usage string derive their accepted values from it.
+// schedulers exist and how each is built: NewScheduler is the only
+// constructor of a named scheduler, and every CLI usage string derives
+// its accepted values from the registry.
 var schedulerRegistry = []SchedulerSpec{
 	{
 		Name:        "pas",
 		Description: "DVFS with cap-based credit compensation (the paper's scheduler)",
-		build: func(cpu *cpufreq.CPU, profile *cpufreq.Profile) (sched.Scheduler, loadBinder, error) {
-			pas, err := core.NewPAS(core.PASConfig{CPU: cpu, CF: profile.EfficiencyTable()})
-			if err != nil {
-				return nil, nil, err
-			}
-			return pas, pas, nil
+		build: func(cpu *cpufreq.CPU, cf []float64) (sched.Scheduler, error) {
+			return NewPAS(PASConfig{CPU: cpu, CF: cf})
 		},
 	},
 	{
 		Name:        "credit",
 		Aliases:     []string{"fix-credit"},
 		Description: "fix-credit baseline pinned at the maximum frequency",
-		build: func(*cpufreq.CPU, *cpufreq.Profile) (sched.Scheduler, loadBinder, error) {
-			return sched.NewCredit(sched.CreditConfig{}), nil, nil
+		build: func(*cpufreq.CPU, []float64) (sched.Scheduler, error) {
+			return sched.NewCredit(sched.CreditConfig{}), nil
 		},
 	},
 	{
 		Name:        "credit2",
 		Description: "weight-proportional work-conserving, pinned at the maximum frequency",
-		build: func(*cpufreq.CPU, *cpufreq.Profile) (sched.Scheduler, loadBinder, error) {
-			return sched.NewCredit2(), nil, nil
+		build: func(*cpufreq.CPU, []float64) (sched.Scheduler, error) {
+			return sched.NewCredit2(), nil
 		},
 	},
 	{
 		Name:        "sedf",
 		Description: "earliest-deadline-first reservations (slices derived from credits), pinned at the maximum frequency",
-		build: func(*cpufreq.CPU, *cpufreq.Profile) (sched.Scheduler, loadBinder, error) {
-			return sched.NewSEDF(sched.SEDFConfig{DefaultExtratime: true}), nil, nil
+		build: func(*cpufreq.CPU, []float64) (sched.Scheduler, error) {
+			return sched.NewSEDF(sched.SEDFConfig{DefaultExtratime: true}), nil
 		},
 	},
 	{
 		Name:        "pas-credit2",
 		Description: "the PAS DVFS policy enforcing shares through Credit2 weights instead of caps",
-		build: func(cpu *cpufreq.CPU, profile *cpufreq.Profile) (sched.Scheduler, loadBinder, error) {
-			pc2, err := core.NewPASCredit2(core.PASCredit2Config{CPU: cpu, CF: profile.EfficiencyTable()})
-			if err != nil {
-				return nil, nil, err
-			}
-			return pc2, pc2, nil
+		build: func(cpu *cpufreq.CPU, cf []float64) (sched.Scheduler, error) {
+			return NewPASCredit2(PASCredit2Config{CPU: cpu, CF: cf})
 		},
 	},
+}
+
+// NewScheduler builds the scheduler registered under name (or an alias)
+// for cpu. cf is the per-P-state calibration table the PAS family
+// compensates with; nil assumes cf = 1. The PAS family is bound to its
+// load signal by host.New.
+func NewScheduler(name string, cpu *cpufreq.CPU, cf []float64) (sched.Scheduler, error) {
+	s := lookupScheduler(name)
+	if s == nil {
+		return nil, fmt.Errorf("core: unknown scheduler %q (%s)", name, SchedulerNames())
+	}
+	return s.build(cpu, cf)
 }
 
 // Schedulers returns the registry entries (constructors omitted) in
@@ -107,36 +109,22 @@ func SchedulerNames() string {
 // CanonicalScheduler resolves a scheduler name or alias to its
 // canonical registry name. ok is false for unknown names.
 func CanonicalScheduler(name string) (canonical string, ok bool) {
-	for _, s := range schedulerRegistry {
-		if s.Name == name {
-			return s.Name, true
-		}
-		for _, a := range s.Aliases {
-			if a == name {
-				return s.Name, true
-			}
-		}
+	if s := lookupScheduler(name); s != nil {
+		return s.Name, true
 	}
 	return "", false
 }
 
 // ValidScheduler reports whether name is a registered scheduler name or
 // alias.
-func ValidScheduler(name string) bool {
-	_, ok := CanonicalScheduler(name)
-	return ok
-}
+func ValidScheduler(name string) bool { return lookupScheduler(name) != nil }
 
-// lookupScheduler finds the registry entry for a name or alias.
-func lookupScheduler(name string) (*SchedulerSpec, bool) {
-	canonical, ok := CanonicalScheduler(name)
-	if !ok {
-		return nil, false
-	}
-	for i := range schedulerRegistry {
-		if schedulerRegistry[i].Name == canonical {
-			return &schedulerRegistry[i], true
+// lookupScheduler finds the registry entry for a name or alias, or nil.
+func lookupScheduler(name string) *SchedulerSpec {
+	for i, s := range schedulerRegistry {
+		if s.Name == name || slices.Contains(s.Aliases, name) {
+			return &schedulerRegistry[i]
 		}
 	}
-	return nil, false
+	return nil
 }

@@ -89,11 +89,11 @@ func (m *CreditManager) Run(sim.Time) {
 // at user-level polling granularity.
 type DVFSCreditManager struct {
 	inner *CreditManager
-	loads LoadSource
+	loads sched.LoadSource
 }
 
 // NewDVFSCreditManager builds the user-level credit-and-DVFS manager.
-func NewDVFSCreditManager(cpu *cpufreq.CPU, caps sched.CapSetter, loads LoadSource,
+func NewDVFSCreditManager(cpu *cpufreq.CPU, caps sched.CapSetter, loads sched.LoadSource,
 	cf []float64, interval sim.Time, initCredits map[vm.ID]float64) (*DVFSCreditManager, error) {
 	if loads == nil {
 		return nil, fmt.Errorf("core: DVFS credit manager requires a load source")

@@ -1,7 +1,8 @@
 // Package engine is the shared simulation engine behind every simulated
-// machine in the repository: the single host (internal/host), the
-// multi-core cluster (internal/multicore) and the consolidation data
-// center (internal/consolidation).
+// machine in the repository: each host (internal/host) runs on one, and
+// the multi-host drivers — the multi-core cluster (internal/multicore)
+// and the sharded fleet (internal/fleet) — step many of them in
+// parallel with the worker primitives of parallel.go.
 //
 // The engine owns the three things every machine used to hand-roll
 // separately — the simulated clock, the ordered event queue, and the

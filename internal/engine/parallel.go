@@ -43,11 +43,11 @@ func (g *Gate) Slots() int { return cap(g.slots) }
 // error does not depend on goroutine interleaving). workers <= 1, or a
 // single task, runs sequentially with no goroutines.
 //
-// It is the synchronization-barrier primitive of the multi-host drivers:
-// independent machines (each owning its engine, scheduler, meters) step
-// concurrently between barriers, and cross-machine work — migration
-// completion, consolidation planning, coordinator DVFS decisions — runs
-// sequentially at the barrier. Tasks must not share mutable state.
+// It is the synchronization-barrier primitive of the multi-core cluster
+// (internal/multicore): independent cores (each owning its engine,
+// scheduler, meters) step concurrently between barriers, and the
+// cross-core work — the coordinator's DVFS decisions — runs sequentially
+// at the barrier. Tasks must not share mutable state.
 func RunParallel(workers int, tasks []func() error) error {
 	if workers > len(tasks) {
 		workers = len(tasks)

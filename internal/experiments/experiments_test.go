@@ -143,10 +143,10 @@ func TestTraceConfigurations(t *testing.T) {
 }
 
 func TestScenarioBuilderValidation(t *testing.T) {
-	if _, err := newScenario(schedKind(99), govPerformance, loadExact, 1); err == nil {
-		t.Error("unknown scheduler kind accepted")
+	if _, err := newScenario("cfs", govPerformance, loadExact, 1); err == nil {
+		t.Error("unknown scheduler accepted")
 	}
-	if _, err := newScenario(schedCredit, govKind(99), loadExact, 1); err == nil {
+	if _, err := newScenario("credit", govKind(99), loadExact, 1); err == nil {
 		t.Error("unknown governor kind accepted")
 	}
 }

@@ -100,14 +100,12 @@ func ablationRun(variant implVariant) (deficit float64, transitions int, err err
 	credit := sched.NewCredit(sched.CreditConfig{})
 
 	var s sched.Scheduler = credit
-	var pas *core.PAS
 	var gov governor.Governor
 	if variant == implInScheduler {
-		pas, err = core.NewPAS(core.PASConfig{CPU: cpu, Credit: credit, CF: prof.EfficiencyTable()})
+		s, err = core.NewPAS(core.PASConfig{CPU: cpu, Credit: credit, CF: prof.EfficiencyTable()})
 		if err != nil {
 			return 0, 0, err
 		}
-		s = pas
 	}
 	if variant == implUserCredit {
 		gov, err = governor.NewPaperOndemand(governor.PaperOndemandConfig{CF: prof.EfficiencyTable()})
@@ -118,9 +116,6 @@ func ablationRun(variant implVariant) (deficit float64, transitions int, err err
 	h, err := host.New(host.Config{CPU: cpu, Scheduler: s, Governor: gov})
 	if err != nil {
 		return 0, 0, err
-	}
-	if pas != nil {
-		pas.BindLoadSource(h)
 	}
 
 	v20, err := vm.New(1, vm.Config{Name: "V20", Credit: 20})
@@ -224,15 +219,15 @@ func AblationImpl() (*Result, error) {
 // the SLA but pins the maximum frequency (no savings); PAS does both.
 func Energy() (*Result, error) {
 	type cfgRow struct {
-		name string
-		sk   schedKind
-		gk   govKind
+		name      string
+		schedName string
+		gk        govKind
 	}
 	rows := []cfgRow{
-		{"Credit + Performance", schedCredit, govPerformance},
-		{"Credit + our ondemand", schedCredit, govPaperOndemand},
-		{"SEDF + our ondemand", schedSEDF, govPaperOndemand},
-		{"PAS", schedPAS, govNone},
+		{"Credit + Performance", "credit", govPerformance},
+		{"Credit + our ondemand", "credit", govPaperOndemand},
+		{"SEDF + our ondemand", "sedf", govPaperOndemand},
+		{"PAS", "pas", govNone},
 	}
 	res := &Result{ID: "energy", Title: "Energy and QoS per scheduler/governor pair (thrashing load)"}
 	tb := metrics.NewTable("Energy over the Section 5.3 thrashing profile (700 s)",
@@ -245,7 +240,7 @@ func Energy() (*Result, error) {
 	}
 	outcomes := make(map[string]outcome, len(rows))
 	for _, r := range rows {
-		sc, err := newScenario(r.sk, r.gk, loadThrashing, 42)
+		sc, err := newScenario(r.schedName, r.gk, loadThrashing, 42)
 		if err != nil {
 			return nil, err
 		}

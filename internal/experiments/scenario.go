@@ -7,7 +7,6 @@ import (
 	"pasched/internal/cpufreq"
 	"pasched/internal/governor"
 	"pasched/internal/host"
-	"pasched/internal/sched"
 	"pasched/internal/sim"
 	"pasched/internal/vm"
 	"pasched/internal/workload"
@@ -37,17 +36,6 @@ const thrashFactor = 5
 // dom0LoadPct is Dom0's steady background load in percent of the host.
 const dom0LoadPct = 1.0
 
-// SchedKind selects the scenario's VM scheduler.
-type schedKind int
-
-const (
-	schedCredit schedKind = iota + 1
-	schedCredit2
-	schedSEDF
-	schedPAS
-	schedPASCredit2
-)
-
 // govKind selects the scenario's governor.
 type govKind int
 
@@ -76,38 +64,17 @@ type scenario struct {
 	dom0 *vm.VM
 }
 
-// newScenario builds the Section 5.3 host on the Optiplex 755.
-func newScenario(sk schedKind, gk govKind, lk loadKind, seed uint64) (*scenario, error) {
+// newScenario builds the Section 5.3 host on the Optiplex 755 under the
+// registry scheduler named schedName.
+func newScenario(schedName string, gk govKind, lk loadKind, seed uint64) (*scenario, error) {
 	prof := cpufreq.Optiplex755()
 	cpu, err := cpufreq.NewCPU(prof)
 	if err != nil {
 		return nil, err
 	}
-
-	var s sched.Scheduler
-	var pas *core.PAS
-	var pc2 *core.PASCredit2
-	switch sk {
-	case schedCredit:
-		s = sched.NewCredit(sched.CreditConfig{})
-	case schedCredit2:
-		s = sched.NewCredit2()
-	case schedSEDF:
-		s = sched.NewSEDF(sched.SEDFConfig{DefaultExtratime: true})
-	case schedPAS:
-		pas, err = core.NewPAS(core.PASConfig{CPU: cpu, CF: prof.EfficiencyTable()})
-		if err != nil {
-			return nil, err
-		}
-		s = pas
-	case schedPASCredit2:
-		pc2, err = core.NewPASCredit2(core.PASCredit2Config{CPU: cpu, CF: prof.EfficiencyTable()})
-		if err != nil {
-			return nil, err
-		}
-		s = pc2
-	default:
-		return nil, fmt.Errorf("unknown scheduler kind %d", sk)
+	s, err := core.NewScheduler(schedName, cpu, prof.EfficiencyTable())
+	if err != nil {
+		return nil, err
 	}
 
 	var g governor.Governor
@@ -135,12 +102,6 @@ func newScenario(sk schedKind, gk govKind, lk loadKind, seed uint64) (*scenario,
 	h, err := host.New(host.Config{CPU: cpu, Scheduler: s, Governor: g})
 	if err != nil {
 		return nil, err
-	}
-	if pas != nil {
-		pas.BindLoadSource(h)
-	}
-	if pc2 != nil {
-		pc2.BindLoadSource(h)
 	}
 
 	maxTp, err := prof.Throughput(prof.Max())
@@ -198,6 +159,8 @@ func newScenario(sk schedKind, gk govKind, lk loadKind, seed uint64) (*scenario,
 			return nil, err
 		}
 	}
+	pas, _ := s.(*core.PAS)
+	pc2, _ := s.(*core.PASCredit2)
 	return &scenario{host: h, pas: pas, pc2: pc2, v20: v20, v70: v70, dom0: dom0}, nil
 }
 

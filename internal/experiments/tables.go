@@ -60,9 +60,6 @@ func table2Scenario(p platform.Platform, mode platform.GovernorMode) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	if parts.PAS != nil && mode == platform.OnDemand {
-		parts.PAS.BindLoadSource(h)
-	}
 	maxTp, err := prof.Throughput(prof.Max())
 	if err != nil {
 		return 0, err

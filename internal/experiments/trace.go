@@ -3,14 +3,14 @@ package experiments
 import (
 	"fmt"
 
-	"pasched/internal/consolidation"
+	"pasched/internal/core"
 	"pasched/internal/metrics"
 )
 
 // TraceSchedulers lists the scheduler names Trace accepts — the shared
-// scheduler registry (consolidation.SchedulerNames) — for CLI usage
-// strings and up-front flag validation.
-var TraceSchedulers = consolidation.SchedulerNames()
+// scheduler registry (core.SchedulerNames) — for CLI usage strings and
+// up-front flag validation.
+var TraceSchedulers = core.SchedulerNames()
 
 // Trace runs one Section 5.3 scenario with the named configuration and
 // returns the full recorder, for CSV export by cmd/pastrace. Valid
@@ -18,27 +18,6 @@ var TraceSchedulers = consolidation.SchedulerNames()
 // "ondemand" (stock), "paper", "none". Valid loads: "exact",
 // "thrashing".
 func Trace(scheduler, gov, load string, seed uint64) (*metrics.Recorder, error) {
-	// Names and aliases resolve against the shared registry, so
-	// "fix-credit" means the same scheduler here as everywhere else.
-	canonical, ok := consolidation.CanonicalScheduler(scheduler)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown scheduler %q (%s)", scheduler, TraceSchedulers)
-	}
-	var sk schedKind
-	switch canonical {
-	case "credit":
-		sk = schedCredit
-	case "credit2":
-		sk = schedCredit2
-	case "sedf":
-		sk = schedSEDF
-	case "pas":
-		sk = schedPAS
-	case "pas-credit2":
-		sk = schedPASCredit2
-	default:
-		return nil, fmt.Errorf("experiments: scheduler %q has no Section 5.3 scenario", canonical)
-	}
 	var gk govKind
 	switch gov {
 	case "performance":
@@ -61,10 +40,7 @@ func Trace(scheduler, gov, load string, seed uint64) (*metrics.Recorder, error) 
 	default:
 		return nil, fmt.Errorf("experiments: unknown load %q (exact, thrashing)", load)
 	}
-	if (sk == schedPAS || sk == schedPASCredit2) && gk != govNone {
-		return nil, fmt.Errorf("experiments: the %s scheduler manages DVFS itself; use -gov none", scheduler)
-	}
-	sc, err := newScenario(sk, gk, lk, seed)
+	sc, err := newScenario(scheduler, gk, lk, seed)
 	if err != nil {
 		return nil, err
 	}

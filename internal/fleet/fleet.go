@@ -8,6 +8,7 @@ import (
 
 	"pasched/internal/autoscale"
 	"pasched/internal/consolidation"
+	"pasched/internal/core"
 	"pasched/internal/cpufreq"
 	"pasched/internal/energy"
 	"pasched/internal/engine"
@@ -67,9 +68,9 @@ type Config struct {
 	// in total.
 	Machines []MachineClass
 	// Scheduler selects the per-machine scheduler by name, resolved
-	// against the scheduler registry shared with the consolidation
-	// package and the CLIs — see SchedulerNames for the accepted names
-	// and aliases, consolidation.Schedulers for descriptions: "pas" for
+	// against the scheduler registry (internal/core) shared with every
+	// layer and CLI — see SchedulerNames for the accepted names and
+	// aliases, core.Schedulers for descriptions: "pas" for
 	// the paper's DVFS with credit compensation, "credit" for the
 	// fix-credit baseline pinned at the maximum frequency. Empty selects
 	// "credit".
@@ -225,14 +226,14 @@ type ServingConfig struct {
 }
 
 // SchedulerNames renders the scheduler names Config.Scheduler accepts —
-// the consolidation scheduler registry, the single source of truth
-// shared with every CLI — for usage strings and up-front validation.
-func SchedulerNames() string { return consolidation.SchedulerNames() }
+// the scheduler registry, the single source of truth shared with every
+// CLI — for usage strings and up-front validation.
+func SchedulerNames() string { return core.SchedulerNames() }
 
 // ValidScheduler reports whether name is an accepted Config.Scheduler
 // value (the empty string selects "credit").
 func ValidScheduler(name string) bool {
-	return name == "" || consolidation.ValidScheduler(name)
+	return name == "" || core.ValidScheduler(name)
 }
 
 // withDefaults validates the configuration and fills defaults.
@@ -283,7 +284,7 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Scheduler == "" {
 		cfg.Scheduler = "credit"
 	}
-	canonical, ok := consolidation.CanonicalScheduler(cfg.Scheduler)
+	canonical, ok := core.CanonicalScheduler(cfg.Scheduler)
 	if !ok {
 		return cfg, fmt.Errorf("fleet: unknown scheduler %q (accepted: %s)", cfg.Scheduler, SchedulerNames())
 	}
@@ -534,6 +535,9 @@ type Fleet struct {
 	goneN int      // departed entries still occupying order
 	migs  map[string]*migration
 	migQ  timedHeap
+	// departQ holds every scheduled departure, popped in (time, name)
+	// order — the order is global, so it is independent of the sharding.
+	departQ timedHeap
 
 	// autoscaler (Autoscale.Enabled only): the controller wrapping the
 	// policy, the reused signal buffer, and the decision counters.
@@ -550,7 +554,6 @@ type Fleet struct {
 	outFree    []*VMOutcome
 	dataPool   sync.Pool
 	outPending []*VMOutcome // outcome slots of the current interval
-	departDue  []timedName
 	consStates []MachineState
 	movingBuf  []*ctlVM
 	planBuf    []consMove
@@ -1104,10 +1107,8 @@ func (f *Fleet) Run(horizon sim.Time) (*Report, error) {
 		if f.evValid && f.ev.Arrive < t {
 			t = f.ev.Arrive
 		}
-		for _, s := range f.shards {
-			if at, ok := s.departQ.top(); ok && at < t {
-				t = at
-			}
+		if at, ok := f.departQ.top(); ok && at < t {
+			t = at
 		}
 		if at, ok := f.migQ.top(); ok && at < t {
 			t = at
@@ -1128,24 +1129,8 @@ func (f *Fleet) Run(horizon sim.Time) (*Report, error) {
 				return nil, err
 			}
 		}
-		// Same-instant departures merge across the shard queues in the
-		// global (time, name) order a single queue would pop.
-		f.departDue = f.departDue[:0]
-		for _, s := range f.shards {
-			for len(s.departQ) > 0 && s.departQ[0].at <= t {
-				f.departDue = append(f.departDue, s.departQ.pop())
-			}
-		}
-		if len(f.departDue) > 1 {
-			sort.Slice(f.departDue, func(i, j int) bool {
-				if f.departDue[i].at != f.departDue[j].at {
-					return f.departDue[i].at < f.departDue[j].at
-				}
-				return f.departDue[i].name < f.departDue[j].name
-			})
-		}
-		for _, tn := range f.departDue {
-			if err := f.depart(tn.name); err != nil {
+		for len(f.departQ) > 0 && f.departQ[0].at <= t {
+			if err := f.depart(f.departQ.pop().name); err != nil {
 				return nil, err
 			}
 		}
@@ -1317,7 +1302,7 @@ func (f *Fleet) arrive(ev *VMEvent) error {
 	f.vms[ev.Name] = p
 	f.order = append(f.order, p)
 	if depart := ev.Arrive + ev.Lifetime; depart < f.horizon {
-		f.shards[idx%len(f.shards)].departQ.push(timedName{at: depart, name: ev.Name})
+		f.departQ.push(timedName{at: depart, name: ev.Name})
 	}
 	f.arrived++
 	f.iv.Arrivals++

@@ -207,9 +207,7 @@ func (q *cmdQueue) close() {
 // machine i lives in shard i % Shards at local slot i / Shards (first
 // fit packs low indices, so round robin spreads the active machines
 // evenly across shards). All fields below are touched only by the
-// owning shard worker while Run executes — except departQ, which is
-// coordinator-owned planning state (the shard-local departure event
-// queue the coordinator pops in (time, name) order), and the interval
+// owning shard worker while Run executes — except the interval
 // partials, which the coordinator reads and resets only between a
 // barrier acknowledgement and the next dispatch.
 type shard struct {
@@ -221,8 +219,6 @@ type shard struct {
 	prevEnergy []energy.Energy
 	nextID     []vm.ID
 	resident   [][]*dataVM
-
-	departQ timedHeap
 
 	// rng is the shard's private deterministic stream, decorrelated from
 	// the workload seeds. It drives the sampled consistency audits below

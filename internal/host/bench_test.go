@@ -169,7 +169,6 @@ func BenchmarkHostStepPAS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pas.BindLoadSource(h)
 	for i, credit := range []float64{10, 20, 70} {
 		v, err := vm.New(vm.ID(i), vm.Config{Credit: credit})
 		if err != nil {

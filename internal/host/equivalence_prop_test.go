@@ -77,9 +77,6 @@ func buildPropHost(t *testing.T, seed int64, reference bool) *host.Host {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pas != nil {
-		pas.BindLoadSource(h)
-	}
 
 	drawWorkload := func() workload.Workload {
 		switch r.Intn(4) {

@@ -95,7 +95,6 @@ func equivalenceScenarios() []scenario {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pas.BindLoadSource(h)
 				addVM(t, h, 1, "V20", 20, webApp(t, prof, 20, 5*sim.Second, 20*sim.Second))
 				addVM(t, h, 2, "V40", 40, &workload.Hog{})
 				return h
@@ -219,7 +218,6 @@ func equivalenceScenarios() []scenario {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pas.BindLoadSource(h)
 				addVM(t, h, 1, "V20", 20, &workload.Hog{})
 				addVM(t, h, 2, "V40", 40, &workload.Hog{})
 				addVM(t, h, 3, "Vweb", 30, webApp(t, prof, 25, 5*sim.Second, 22*sim.Second))

@@ -47,11 +47,13 @@ type Config struct {
 	CPU *cpufreq.CPU
 	// Profile is the processor architecture; required when CPU is nil.
 	Profile *cpufreq.Profile
-	// Scheduler is the VM scheduler. Required.
+	// Scheduler is the VM scheduler. Required. A sched.LoadBinder (the
+	// PAS family) is bound to the host's Global load by New.
 	Scheduler sched.Scheduler
 	// Governor is the DVFS governor; nil means no governor (the
 	// frequency stays wherever the scheduler or callers put it, which is
-	// how the in-scheduler PAS variant runs).
+	// how the in-scheduler PAS variant runs). New rejects a governor
+	// alongside a sched.LoadBinder scheduler.
 	Governor governor.Governor
 	// Quantum is the scheduling quantum; default 1 ms.
 	Quantum sim.Time
@@ -157,6 +159,10 @@ func New(cfg Config) (*Host, error) {
 	if cfg.Scheduler == nil {
 		return nil, fmt.Errorf("host: scheduler is required")
 	}
+	binder, _ := cfg.Scheduler.(sched.LoadBinder)
+	if binder != nil && cfg.Governor != nil {
+		return nil, fmt.Errorf("host: the %s scheduler manages DVFS itself; do not install a governor", cfg.Scheduler.Name())
+	}
 	cpu := cfg.CPU
 	if cpu == nil {
 		if cfg.Profile == nil {
@@ -223,6 +229,9 @@ func New(cfg Config) (*Host, error) {
 		if ts, ok := cfg.Scheduler.(sched.TraceSetter); ok {
 			ts.SetTracer(h)
 		}
+	}
+	if binder != nil {
+		binder.BindLoadSource(h)
 	}
 	eng, err := engine.New(cfg.Quantum, machine{h})
 	if err != nil {
@@ -349,7 +358,7 @@ func (h *Host) Now() sim.Time { return h.eng.Now() }
 // GlobalLoad returns the averaged recent processor utilization in [0,1],
 // the paper's Global load signal (average of three successive utilization
 // measurements). The PAS scheduler consumes this through the
-// core.LoadSource interface.
+// sched.LoadSource interface, bound by New.
 func (h *Host) GlobalLoad() float64 { return h.meter.Average() }
 
 // CumulativeBusy returns the total busy CPU time so far.

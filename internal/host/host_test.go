@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pasched/internal/core"
 	"pasched/internal/cpufreq"
 	"pasched/internal/governor"
 	"pasched/internal/host"
@@ -35,6 +36,14 @@ func newHost(t *testing.T, cfg host.Config) *host.Host {
 func TestConfigValidation(t *testing.T) {
 	prof := cpufreq.Optiplex755()
 	s := sched.NewCredit(sched.CreditConfig{})
+	cpu, err := cpufreq.NewCPU(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pas, err := core.NewPAS(core.PASConfig{CPU: cpu})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tests := []struct {
 		name string
 		cfg  host.Config
@@ -44,6 +53,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative quantum", host.Config{Profile: prof, Scheduler: s, Quantum: -1}},
 		{"sample below quantum", host.Config{Profile: prof, Scheduler: s,
 			Quantum: sim.Millisecond, SampleInterval: sim.Microsecond}},
+		{"pas with governor", host.Config{CPU: cpu, Scheduler: pas, Governor: &governor.Performance{}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

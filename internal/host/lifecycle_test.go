@@ -105,7 +105,6 @@ func TestPASAdaptsAfterVMRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pas.BindLoadSource(h)
 	v20 := newVM(t, 1, vm.Config{Name: "V20", Credit: 20}, &workload.Hog{})
 	v70 := newVM(t, 2, vm.Config{Name: "V70", Credit: 70}, &workload.Hog{})
 	if err := h.AddVM(v20); err != nil {

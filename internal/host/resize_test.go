@@ -36,7 +36,6 @@ func buildResizeHost(t *testing.T, schedName string, reference bool) *host.Host 
 		t.Fatal(err)
 	}
 	var s sched.Scheduler
-	var pas *core.PAS
 	switch schedName {
 	case "credit":
 		s = sched.NewCredit(sched.CreditConfig{})
@@ -47,26 +46,21 @@ func buildResizeHost(t *testing.T, schedName string, reference bool) *host.Host 
 	case "sedf":
 		s = sched.NewSEDF(sched.SEDFConfig{})
 	case "pas":
-		pas, err = core.NewPAS(core.PASConfig{CPU: cpu})
+		s, err = core.NewPAS(core.PASConfig{CPU: cpu})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s = pas
 	case "pas-credit2":
-		p2, err := core.NewPASCredit2(core.PASCredit2Config{CPU: cpu})
+		s, err = core.NewPASCredit2(core.PASCredit2Config{CPU: cpu})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s = p2
 	default:
 		t.Fatalf("unknown scheduler %q", schedName)
 	}
 	h, err := host.New(host.Config{CPU: cpu, Scheduler: s, Reference: reference})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if pas != nil {
-		pas.BindLoadSource(h)
 	}
 	for i := 1; i <= 4; i++ {
 		v, err := vm.New(vm.ID(i), vm.Config{
@@ -152,6 +146,11 @@ func TestResizeDuringBatchedPattern(t *testing.T) {
 			// vacuous.
 			if batched.Engine().BatchedQuanta() == 0 {
 				t.Fatalf("%s: pattern batching never engaged", name)
+			}
+			// The PAS family must actually run its boundary: host.New
+			// binds it to the host's load, so it recomputes.
+			if r, ok := batched.Scheduler().(interface{ Recomputes() int }); ok && r.Recomputes() == 0 {
+				t.Fatalf("%s: PAS never recomputed (no load source bound)", name)
 			}
 			assertHostTraceEquivalence(t, batched, reference)
 		})

@@ -72,8 +72,8 @@ type Config struct {
 	SettleSteps int
 	// CapacityMargin is the PAS capacity margin; default 0.02.
 	CapacityMargin float64
-	// Scheduler selects the per-core VM scheduler: "credit" (default) is
-	// the fix-credit scheduler whose caps the coordinator compensates at
+	// Scheduler selects the per-core VM scheduler from the registry:
+	// "credit" (default, alias "fix-credit") is the fix-credit scheduler whose caps the coordinator compensates at
 	// reduced frequencies; "credit2" is the weight-proportional
 	// work-conserving scheduler — a variable-credit scheduler in the
 	// paper's taxonomy, which needs no compensation, so the coordinator
@@ -151,8 +151,10 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Scheduler == "" {
 		cfg.Scheduler = "credit"
 	}
-	if cfg.Scheduler != "credit" && cfg.Scheduler != "credit2" {
-		return nil, fmt.Errorf("multicore: unknown scheduler %q (credit, credit2)", cfg.Scheduler)
+	// The cluster coordinator is the DVFS policy, so only the registry
+	// schedulers that leave the frequency alone qualify.
+	if name, _ := core.CanonicalScheduler(cfg.Scheduler); name != "credit" && name != "credit2" {
+		return nil, fmt.Errorf("multicore: scheduler %q not accepted (accepted: credit (fix-credit), credit2)", cfg.Scheduler)
 	}
 	c := &Cluster{cfg: cfg, cf: cfg.Profile.EfficiencyTable()}
 	for i := 0; i < cfg.Cores; i++ {
@@ -160,14 +162,11 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("multicore: core %d: %w", i, err)
 		}
-		var s sched.Scheduler
-		var capper sched.CapSetter
-		if cfg.Scheduler == "credit2" {
-			s = sched.NewCredit2()
-		} else {
-			credit := sched.NewCredit(sched.CreditConfig{})
-			s, capper = credit, credit
+		s, err := core.NewScheduler(cfg.Scheduler, cpu, c.cf)
+		if err != nil {
+			return nil, fmt.Errorf("multicore: core %d: %w", i, err)
 		}
+		capper, _ := s.(sched.CapSetter) // credit2 has no caps to compensate
 		h, err := host.New(host.Config{CPU: cpu, Scheduler: s, Reference: cfg.Reference})
 		if err != nil {
 			return nil, fmt.Errorf("multicore: core %d: %w", i, err)

@@ -13,19 +13,27 @@ import (
 func TestConfigValidation(t *testing.T) {
 	prof := cpufreq.Optiplex755()
 	tests := []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		valid bool
 	}{
-		{"no profile", Config{Cores: 2}},
-		{"zero cores", Config{Profile: prof}},
-		{"bad domain", Config{Profile: prof, Cores: 1, Domain: DVFSDomain(9)}},
-		{"negative step", Config{Profile: prof, Cores: 1, Step: -1}},
-		{"negative settle", Config{Profile: prof, Cores: 1, SettleSteps: -1}},
-		{"negative margin", Config{Profile: prof, Cores: 1, CapacityMargin: -1}},
+		{"no profile", Config{Cores: 2}, false},
+		{"zero cores", Config{Profile: prof}, false},
+		{"bad domain", Config{Profile: prof, Cores: 1, Domain: DVFSDomain(9)}, false},
+		{"negative step", Config{Profile: prof, Cores: 1, Step: -1}, false},
+		{"negative settle", Config{Profile: prof, Cores: 1, SettleSteps: -1}, false},
+		{"negative margin", Config{Profile: prof, Cores: 1, CapacityMargin: -1}, false},
+		{"unknown scheduler", Config{Profile: prof, Cores: 1, Scheduler: "cfs"}, false},
+		{"pas scheduler", Config{Profile: prof, Cores: 1, Scheduler: "pas"}, false},
+		{"fix-credit", Config{Profile: prof, Cores: 1, Scheduler: "fix-credit"}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := New(tt.cfg); err == nil {
+			_, err := New(tt.cfg)
+			if tt.valid && err != nil {
+				t.Errorf("New rejected valid config: %v", err)
+			}
+			if !tt.valid && err == nil {
 				t.Error("New accepted invalid config")
 			}
 		})

@@ -99,13 +99,11 @@ type Platform struct {
 }
 
 // Parts is the platform-specific machinery for one host: the CPU, the
-// scheduler, the optional governor and, for the Xen/PAS column, the PAS
-// scheduler that needs a load source bound after host construction.
+// scheduler and the optional governor.
 type Parts struct {
 	CPU       *cpufreq.CPU
 	Scheduler sched.Scheduler
 	Governor  governor.Governor
-	PAS       *core.PAS
 }
 
 // Platforms returns the seven Table 2 columns in the paper's order.
@@ -140,21 +138,22 @@ func (p Platform) NewParts(prof *cpufreq.Profile, mode GovernorMode) (*Parts, er
 	}
 	parts := &Parts{CPU: cpu}
 
-	// Scheduler.
+	// Scheduler. Xen/PAS under "Performance" runs plain Credit with no
+	// governor: PAS without its load signal is exactly Credit at the boot
+	// (maximum) frequency — equivalent, frequency-wise, to the
+	// performance governor.
+	name := "credit"
 	switch {
-	case p.PAS:
-		pas, err := core.NewPAS(core.PASConfig{CPU: cpu, CF: prof.EfficiencyTable()})
-		if err != nil {
-			return nil, fmt.Errorf("platform: %w", err)
-		}
-		parts.Scheduler = pas
-		parts.PAS = pas
+	case p.PAS && mode == OnDemand:
+		name = "pas"
 	case p.Family == VariableCredit && p.SEDF:
-		parts.Scheduler = sched.NewSEDF(sched.SEDFConfig{DefaultExtratime: true})
+		name = "sedf"
 	case p.Family == VariableCredit:
-		parts.Scheduler = sched.NewCredit2()
-	default:
-		parts.Scheduler = sched.NewCredit(sched.CreditConfig{})
+		name = "credit2"
+	}
+	parts.Scheduler, err = core.NewScheduler(name, cpu, prof.EfficiencyTable())
+	if err != nil {
+		return nil, fmt.Errorf("platform: %w", err)
 	}
 
 	// Governor.
@@ -163,9 +162,6 @@ func (p Platform) NewParts(prof *cpufreq.Profile, mode GovernorMode) (*Parts, er
 		if !p.PAS {
 			parts.Governor = &governor.Performance{}
 		}
-		// Xen/PAS under "Performance" runs PAS without a load source,
-		// which keeps the boot (maximum) frequency — equivalent
-		// behaviour, frequency-wise, to the performance governor.
 	case OnDemand:
 		if p.PAS {
 			break // PAS manages DVFS itself

@@ -83,8 +83,8 @@ func TestNewPartsSchedulers(t *testing.T) {
 			if got := parts.Scheduler.Name(); got != tt.wantSched {
 				t.Errorf("scheduler = %q, want %q", got, tt.wantSched)
 			}
-			if (parts.PAS != nil) != tt.wantPAS {
-				t.Errorf("PAS present = %v, want %v", parts.PAS != nil, tt.wantPAS)
+			if _, isPAS := parts.Scheduler.(sched.LoadBinder); isPAS != tt.wantPAS {
+				t.Errorf("PAS present = %v, want %v", isPAS, tt.wantPAS)
 			}
 		})
 	}

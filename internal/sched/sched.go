@@ -200,6 +200,22 @@ type TraceSetter interface {
 	SetTracer(t Tracer)
 }
 
+// LoadSource supplies the paper's Global load signal: the averaged recent
+// processor utilization in [0,1] ("an average of three successive
+// processor utilization", footnote 5). The host implements it.
+type LoadSource interface {
+	GlobalLoad() float64
+}
+
+// LoadBinder is implemented by schedulers that drive DVFS from the
+// host's Global load (the PAS family). The host binds itself as the
+// load source at construction, and rejects a governor alongside such a
+// scheduler: the scheduler manages the frequency itself. Binding nil
+// detaches the signal.
+type LoadBinder interface {
+	BindLoadSource(ls LoadSource)
+}
+
 // RecompensateTracer is an optional Tracer extension for schedulers that
 // rewrite their enforcement when the processor frequency changes (the
 // PAS credit recompensation of Listing 1.2). TraceRecompensate fires

@@ -26,15 +26,14 @@ type System struct {
 type Option func(*systemConfig) error
 
 type systemConfig struct {
-	profile    *cpufreq.Profile
-	scheduler  sched.Scheduler
-	governor   governor.Governor
-	pas        bool
-	pasCredit2 bool
-	pasCF      []float64
-	quantum    sim.Time
-	dom0       bool
-	reference  bool
+	profile   *cpufreq.Profile
+	scheduler sched.Scheduler
+	governor  governor.Governor
+	schedName string // a registry scheduler, built by NewSystem
+	pasCF     []float64
+	quantum   sim.Time
+	dom0      bool
+	reference bool
 }
 
 // WithProfile selects the processor architecture. Default: Optiplex755.
@@ -50,14 +49,15 @@ func WithProfile(p *Profile) Option {
 
 // WithScheduler installs an explicit scheduler (e.g. one built from the
 // internal packages in advanced use). Mutually exclusive with WithPAS,
-// WithCreditScheduler and WithSEDFScheduler.
+// WithCreditScheduler and WithSEDFScheduler. A PAS-family scheduler is
+// bound to the host's load like the built-in ones.
 func WithScheduler(s Scheduler) Option {
 	return func(c *systemConfig) error {
 		if s == nil {
 			return fmt.Errorf("pasched: nil scheduler")
 		}
-		if c.scheduler != nil || c.pas || c.pasCredit2 {
-			return fmt.Errorf("pasched: scheduler already configured")
+		if err := c.noScheduler(); err != nil {
+			return err
 		}
 		c.scheduler = s
 		return nil
@@ -68,11 +68,7 @@ func WithScheduler(s Scheduler) Option {
 // VM's credit is guaranteed and hard-capped.
 func WithCreditScheduler() Option {
 	return func(c *systemConfig) error {
-		if c.scheduler != nil || c.pas || c.pasCredit2 {
-			return fmt.Errorf("pasched: scheduler already configured")
-		}
-		c.scheduler = sched.NewCredit(sched.CreditConfig{})
-		return nil
+		return c.useScheduler("credit")
 	}
 }
 
@@ -80,11 +76,7 @@ func WithCreditScheduler() Option {
 // (variable credit): unused slices are donated to busy VMs.
 func WithSEDFScheduler() Option {
 	return func(c *systemConfig) error {
-		if c.scheduler != nil || c.pas || c.pasCredit2 {
-			return fmt.Errorf("pasched: scheduler already configured")
-		}
-		c.scheduler = sched.NewSEDF(sched.SEDFConfig{DefaultExtratime: true})
-		return nil
+		return c.useScheduler("sedf")
 	}
 }
 
@@ -92,11 +84,7 @@ func WithSEDFScheduler() Option {
 // with per-tick DVFS management and frequency-compensated credits.
 func WithPAS() Option {
 	return func(c *systemConfig) error {
-		if c.scheduler != nil || c.pasCredit2 {
-			return fmt.Errorf("pasched: scheduler already configured")
-		}
-		c.pas = true
-		return nil
+		return c.useScheduler("pas")
 	}
 }
 
@@ -107,12 +95,25 @@ func WithPAS() Option {
 // hard compensated caps.
 func WithPASCredit2() Option {
 	return func(c *systemConfig) error {
-		if c.scheduler != nil || c.pas {
-			return fmt.Errorf("pasched: scheduler already configured")
-		}
-		c.pasCredit2 = true
-		return nil
+		return c.useScheduler("pas-credit2")
 	}
+}
+
+// noScheduler rejects a second scheduler option.
+func (c *systemConfig) noScheduler() error {
+	if c.scheduler != nil || c.schedName != "" {
+		return fmt.Errorf("pasched: scheduler already configured")
+	}
+	return nil
+}
+
+// useScheduler selects a registry scheduler for NewSystem to build.
+func (c *systemConfig) useScheduler(name string) error {
+	if err := c.noScheduler(); err != nil {
+		return err
+	}
+	c.schedName = name
+	return nil
 }
 
 // WithPASCF supplies a measured per-P-state cf table for PAS (see
@@ -125,8 +126,9 @@ func WithPASCF(cf []float64) Option {
 	}
 }
 
-// WithGovernor installs a DVFS governor. Ignored (and rejected) with
-// WithPAS, which manages the frequency itself.
+// WithGovernor installs a DVFS governor. Rejected with a PAS-family
+// scheduler (WithPAS, WithPASCredit2, or a PAS passed to WithScheduler),
+// which manages the frequency itself.
 func WithGovernor(g Governor) Option {
 	return func(c *systemConfig) error {
 		if g == nil {
@@ -202,37 +204,23 @@ func NewSystem(opts ...Option) (*System, error) {
 	if cfg.profile == nil {
 		cfg.profile = cpufreq.Optiplex755()
 	}
-	if cfg.scheduler == nil && !cfg.pas && !cfg.pasCredit2 {
-		cfg.pas = true
-	}
-	if (cfg.pas || cfg.pasCredit2) && cfg.governor != nil {
-		return nil, fmt.Errorf("pasched: PAS manages DVFS itself; do not install a governor")
+	if cfg.scheduler == nil && cfg.schedName == "" {
+		cfg.schedName = "pas"
 	}
 
 	cpu, err := cpufreq.NewCPU(cfg.profile)
 	if err != nil {
 		return nil, err
 	}
-	var pas *core.PAS
-	var pc2 *core.PASCredit2
 	s := cfg.scheduler
-	cf := cfg.pasCF
-	if cf == nil {
-		cf = cfg.profile.EfficiencyTable()
-	}
-	if cfg.pas {
-		pas, err = core.NewPAS(core.PASConfig{CPU: cpu, CF: cf})
-		if err != nil {
+	if s == nil {
+		cf := cfg.pasCF
+		if cf == nil {
+			cf = cfg.profile.EfficiencyTable()
+		}
+		if s, err = core.NewScheduler(cfg.schedName, cpu, cf); err != nil {
 			return nil, err
 		}
-		s = pas
-	}
-	if cfg.pasCredit2 {
-		pc2, err = core.NewPASCredit2(core.PASCredit2Config{CPU: cpu, CF: cf})
-		if err != nil {
-			return nil, err
-		}
-		s = pc2
 	}
 	h, err := host.New(host.Config{
 		CPU:       cpu,
@@ -244,12 +232,8 @@ func NewSystem(opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if pas != nil {
-		pas.BindLoadSource(h)
-	}
-	if pc2 != nil {
-		pc2.BindLoadSource(h)
-	}
+	pas, _ := s.(*core.PAS)
+	pc2, _ := s.(*core.PASCredit2)
 	sys := &System{host: h, cpu: cpu, pas: pas, pc2: pc2, next: 1}
 	if cfg.dom0 {
 		dom0, err := vm.New(0, vm.Config{Name: "Dom0", Credit: 10, Priority: 1})
