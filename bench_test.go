@@ -290,7 +290,7 @@ func BenchmarkFleetRun(b *testing.B) {
 	})
 	// obs repeats s1 with the flight recorder enabled (events retained in
 	// memory by an obs.Collector sink), gating the enabled-path overhead
-	// — per-lane ring emission on refills, state changes and P-state
+	// — per-lane emission on refills, state changes and P-state
 	// transitions, the attribution ledgers, and the barrier drain/merge
 	// — against the plain s1 numbers.
 	b.Run("obs", func(b *testing.B) {

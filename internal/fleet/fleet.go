@@ -162,8 +162,8 @@ type AutoscaleConfig struct {
 
 // ObsConfig configures the optional flight recorder (internal/obs).
 // When enabled, every machine host and the coordinator emit decision
-// events into per-shard rings, drained and merged into
-// (At, Lane, Seq)-sorted windows at reporting barriers; the merged
+// events into per-lane buffers, drained and merged into
+// (At, Lane, Seq)-ordered windows at reporting barriers; the merged
 // stream — and the per-VM integer-microsecond attribution ledgers folded
 // into VMOutcome and Summary — are bit-identical for every shard and
 // worker count. The merged windows go to Sink, the recorder's only
@@ -509,7 +509,7 @@ type Fleet struct {
 	running atomic.Bool
 
 	// flight recorder (Obs.Enabled only): the recorder owning the
-	// per-shard rings, and the coordinator's own emitting lane.
+	// per-shard dirty-lane lists, and the coordinator's own emitting lane.
 	rec  *obs.Recorder
 	cobs *obs.MachineObs
 	// ledger totals accumulated from outcome slots in emission order;
@@ -718,7 +718,7 @@ func NewStream(cfg Config, src TraceSource) (*Fleet, error) {
 	f.inline = ns == 1 || cfg.Workers == 1
 	if cfg.Obs.Enabled {
 		f.rec = obs.NewRecorder(ns, cfg.Obs.Sink)
-		f.cobs = obs.NewMachineObs(f.rec.CoordinatorRing(), obs.LaneCoordinator)
+		f.cobs = obs.NewMachineObs(f.rec.CoordinatorShard(), obs.LaneCoordinator)
 	}
 	f.shards = make([]*shard, ns)
 	for si := 0; si < ns; si++ {
@@ -1738,8 +1738,8 @@ func (f *Fleet) reportBarrier(t sim.Time) error {
 	}
 	if f.rec != nil {
 		// Every shard is parked at the barrier and every machine event up
-		// to t is in its ring; fold the coordinator's own barrier marker
-		// in, then merge the window.
+		// to t is in its lane buffer; fold the coordinator's own barrier
+		// marker in, then merge the window.
 		f.cobs.Emit(t, obs.KindBarrier, "", int64(liveN), 0)
 		if err := f.rec.Drain(); err != nil {
 			return err

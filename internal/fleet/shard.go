@@ -273,7 +273,7 @@ func (s *shard) machineObs(slot int32) *obs.MachineObs {
 		return nil
 	}
 	if s.mobs[slot] == nil {
-		s.mobs[slot] = obs.NewMachineObs(s.f.rec.Ring(s.id), int32(s.globalIndex(slot)))
+		s.mobs[slot] = obs.NewMachineObs(s.f.rec.Shard(s.id), int32(s.globalIndex(slot)))
 	}
 	return s.mobs[slot]
 }

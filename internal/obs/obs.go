@@ -11,12 +11,26 @@
 // or LaneCoordinator for the control plane — and Seq is a per-lane
 // sequence number. A machine's command stream (and therefore its host's
 // stepping) is identical for any shard × worker count, so each lane's
-// event sequence is sharding-invariant; sorting a drained window by
+// event sequence is sharding-invariant; ordering a drained window by
 // (At, Lane, Seq) yields a merged stream that is DeepEqual-bit-exact
-// across shardings. Events are appended to per-shard rings (one writer
-// at a time, like every other per-shard accumulator) and drained by the
-// coordinator at reporting barriers; ring buffers are pooled per shard
-// and reused across windows.
+// across shardings.
+//
+// Lane buffers and the merge: each lane (MachineObs) appends to its own
+// buffer, and on its first emit of a window registers with its shard's
+// dirty-lane list (one writer at a time, like every other per-shard
+// accumulator). At a reporting barrier the coordinator drains only the
+// dirty lanes: it puts each lane in time order and heap-merges the
+// lanes by (At, Lane), so a barrier costs O(n log active lanes), not
+// O(machines). Buffers are reused across windows.
+//
+// A lane's emission order is its Seq order, but not always its time
+// order: a host emits a VM's budget exhaustion from inside the
+// scheduler's charge at the end of a quantum, before the state and
+// pattern events of that same quantum, which carry the quantum's start
+// time. Those few inversions per lane are why the drain re-orders each
+// lane by time (an insertion pass costing O(events + inversions))
+// before merging. The emission order itself is kept, so Seq still
+// numbers a lane's events in the order the host emitted them.
 //
 // When disabled, nothing in this package runs: the host and fleet guard
 // every emission behind a single nil pointer check, so the disabled hot
@@ -24,7 +38,7 @@
 package obs
 
 import (
-	"sort"
+	"slices"
 
 	"pasched/internal/sim"
 )
@@ -176,36 +190,42 @@ type Event struct {
 	A, B int64
 }
 
-// Ring is one shard's pooled event buffer. Exactly one worker appends
-// to a shard's ring at a time (the same single-writer discipline as the
-// shard's interval accumulators); the coordinator drains it at barriers
-// and hands the backing array back for reuse.
-type Ring struct {
-	ev []Event
+// Shard is one shard's dirty-lane list: the lanes that emitted since
+// the last drain, in first-emit order. Exactly one worker emits into a
+// shard's lanes at a time (the same single-writer discipline as the
+// shard's interval accumulators), so the list needs no lock; the
+// coordinator drains it at barriers.
+type Shard struct {
+	dirty []*MachineObs
 }
 
 // MachineObs is one lane's emitting handle: it owns the lane's sequence
-// counter and appends to the owning shard's ring. A machine keeps its
-// MachineObs across power cycles so sequence numbers never restart
-// within a run.
+// counter and its event buffer, and registers with its shard's dirty
+// list on the first emit of a window. A machine keeps its MachineObs
+// across power cycles so sequence numbers never restart within a run,
+// and the buffer's backing array is reused across windows.
 type MachineObs struct {
-	ring *Ring
-	lane int32
-	seq  uint32
+	shard *Shard
+	lane  int32
+	seq   uint32
+	ev    []Event // this window's events, in emission (Seq) order
 }
 
-// NewMachineObs returns an emitting handle for the given lane appending
-// into ring.
-func NewMachineObs(ring *Ring, lane int32) *MachineObs {
-	return &MachineObs{ring: ring, lane: lane}
+// NewMachineObs returns an emitting handle for the given lane that
+// registers with shard.
+func NewMachineObs(shard *Shard, lane int32) *MachineObs {
+	return &MachineObs{shard: shard, lane: lane}
 }
 
 // Emit appends one event at simulated time at. The VM string must be a
 // stable name (shared, not built per call) so emission does not
-// allocate beyond ring growth.
+// allocate beyond buffer growth.
 func (m *MachineObs) Emit(at sim.Time, k Kind, vmName string, a, b int64) {
 	m.seq++
-	m.ring.ev = append(m.ring.ev, Event{At: at, Lane: m.lane, Seq: m.seq, Kind: k, VM: vmName, A: a, B: b})
+	if len(m.ev) == 0 {
+		m.shard.dirty = append(m.shard.dirty, m)
+	}
+	m.ev = append(m.ev, Event{At: at, Lane: m.lane, Seq: m.seq, Kind: k, VM: vmName, A: a, B: b})
 }
 
 // EventSink consumes merged event windows. Events is called once per
@@ -235,57 +255,131 @@ func (c *Collector) Events(window []Event) error {
 // Finish implements EventSink.
 func (c *Collector) Finish(sim.Time) error { return nil }
 
-// Recorder owns the per-shard rings and the coordinator ring, merges
-// them into deterministic windows at barriers, and feeds the optional
-// sink.
+// Recorder owns the per-shard dirty-lane lists and the coordinator's,
+// merges the dirty lanes into deterministic windows at barriers, and
+// feeds the optional sink.
 type Recorder struct {
-	rings   []*Ring // per shard, then the coordinator ring last
+	shards  []*Shard // per shard, then the coordinator's last
 	sink    EventSink
+	heap    []laneHead
 	scratch []Event
 	total   int64
+}
+
+// laneHead is one dirty lane in the drain's merge heap: the lane's
+// next undrained event and its time.
+type laneHead struct {
+	at   sim.Time
+	lane int32
+	pos  int
+	m    *MachineObs
 }
 
 // NewRecorder builds a recorder for the given shard count. sink, when
 // non-nil, receives every merged window.
 func NewRecorder(shards int, sink EventSink) *Recorder {
-	rings := make([]*Ring, shards+1)
-	for i := range rings {
-		rings[i] = &Ring{}
+	ss := make([]*Shard, shards+1)
+	for i := range ss {
+		ss[i] = &Shard{}
 	}
-	return &Recorder{rings: rings, sink: sink}
+	return &Recorder{shards: ss, sink: sink}
 }
 
-// Ring returns shard's ring.
-func (r *Recorder) Ring(shard int) *Ring { return r.rings[shard] }
+// Shard returns shard i's dirty-lane list.
+func (r *Recorder) Shard(i int) *Shard { return r.shards[i] }
 
-// CoordinatorRing returns the control plane's ring.
-func (r *Recorder) CoordinatorRing() *Ring { return r.rings[len(r.rings)-1] }
+// CoordinatorShard returns the control plane's dirty-lane list.
+func (r *Recorder) CoordinatorShard() *Shard { return r.shards[len(r.shards)-1] }
 
-// Drain merges every ring's pending events into one window sorted by
-// (At, Lane, Seq), dispatches it to the sink and recycles the ring
+// Drain merges every dirty lane's pending events into one window sorted
+// by (At, Lane, Seq), dispatches it to the sink and recycles the lane
 // buffers. It must run with every shard parked at a barrier.
+//
+// A lane's buffer is in Seq order but only nearly in At order (see the
+// package doc), so an insertion pass first puts each lane in (At, Seq)
+// order in O(events + inversions); a binary heap of the dirty lanes
+// keyed by (At, Lane) then merges them in O(n log dirty lanes). Lanes
+// that did not emit this window cost nothing.
 func (r *Recorder) Drain() error {
+	h := r.heap[:0]
 	n := 0
-	for _, rg := range r.rings {
-		n += len(rg.ev)
+	for _, s := range r.shards {
+		for _, m := range s.dirty {
+			ev := m.ev
+			for i := 1; i < len(ev); i++ {
+				if ev[i].At >= ev[i-1].At {
+					continue
+				}
+				e, j := ev[i], i
+				for ; j > 0 && ev[j-1].At > e.At; j-- {
+					ev[j] = ev[j-1]
+				}
+				ev[j] = e
+			}
+			n += len(ev)
+			h = append(h, laneHead{at: ev[0].At, lane: m.lane, m: m})
+		}
+		s.dirty = s.dirty[:0]
 	}
 	if n == 0 {
 		return nil
 	}
-	w := r.scratch[:0]
-	for _, rg := range r.rings {
-		w = append(w, rg.ev...)
-		rg.ev = rg.ev[:0]
+	// before orders a key against a lane head by (At, Lane). It and down
+	// are function literals so that profiles attribute the merge to
+	// Drain.
+	before := func(at sim.Time, lane int32, h *laneHead) bool {
+		return at < h.at || at == h.at && lane < h.lane
 	}
-	sort.Slice(w, func(i, j int) bool {
-		if w[i].At != w[j].At {
-			return w[i].At < w[j].At
+	down := func(h []laneHead, i int) {
+		x := h[i]
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				break
+			}
+			if d := c + 1; d < len(h) && before(h[d].at, h[d].lane, &h[c]) {
+				c = d
+			}
+			if before(x.at, x.lane, &h[c]) {
+				break
+			}
+			h[i] = h[c]
+			i = c
 		}
-		if w[i].Lane != w[j].Lane {
-			return w[i].Lane < w[j].Lane
+		h[i] = x
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(h, i)
+	}
+	w := slices.Grow(r.scratch[:0], n)
+	for len(h) > 0 {
+		// Copy the top lane's whole run of events that precede every
+		// other lane's head, then re-sift the lane.
+		top := &h[0]
+		ev, end := top.m.ev, len(top.m.ev)
+		if len(h) > 1 {
+			next := &h[1]
+			if len(h) > 2 && before(h[2].at, h[2].lane, next) {
+				next = &h[2]
+			}
+			end = top.pos + 1
+			for end < len(ev) && before(ev[end].At, top.lane, next) {
+				end++
+			}
 		}
-		return w[i].Seq < w[j].Seq
-	})
+		w = append(w, ev[top.pos:end]...)
+		if end < len(ev) {
+			top.pos, top.at = end, ev[end].At
+		} else {
+			top.m.ev = ev[:0]
+			h[0] = h[len(h)-1]
+			if h = h[:len(h)-1]; len(h) == 0 {
+				break
+			}
+		}
+		down(h, 0)
+	}
+	r.heap = h
 	r.scratch = w
 	r.total += int64(n)
 	if r.sink != nil {

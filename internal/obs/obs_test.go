@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"cmp"
+	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,34 +30,33 @@ func TestKindAndStateNames(t *testing.T) {
 	}
 }
 
-// windowCounter is a Collector that also counts the windows it
-// receives and records the Finish time.
-type windowCounter struct {
-	Collector
-	windows int
+// windowLog is a sink that keeps a copy of every window it receives
+// and the Finish time.
+type windowLog struct {
+	windows [][]Event
 	end     sim.Time
 }
 
-func (c *windowCounter) Events(w []Event) error {
-	c.windows++
-	return c.Collector.Events(w)
-}
-
-func (c *windowCounter) Finish(at sim.Time) error {
-	c.end = at
+func (l *windowLog) Events(w []Event) error {
+	l.windows = append(l.windows, slices.Clone(w))
 	return nil
 }
 
-// TestRecorderMerge: events written to different rings merge into one
-// window sorted by (At, Lane, Seq), the buffers recycle between drains,
-// and a Collector sink retains the concatenated stream.
+func (l *windowLog) Finish(at sim.Time) error {
+	l.end = at
+	return nil
+}
+
+// TestRecorderMerge: events of lanes on different shards merge into one
+// window sorted by (At, Lane, Seq), the lane buffers recycle between
+// drains, and an empty drain sends the sink nothing.
 func TestRecorderMerge(t *testing.T) {
-	sink := &windowCounter{}
+	sink := &windowLog{}
 	r := NewRecorder(2, sink)
 
-	m0 := NewMachineObs(r.Ring(0), 0)
-	m1 := NewMachineObs(r.Ring(1), 1)
-	co := NewMachineObs(r.CoordinatorRing(), LaneCoordinator)
+	m0 := NewMachineObs(r.Shard(0), 0)
+	m1 := NewMachineObs(r.Shard(1), 1)
+	co := NewMachineObs(r.CoordinatorShard(), LaneCoordinator)
 
 	m1.Emit(5, KindRefill, "", 0, 0)
 	m0.Emit(10, KindVMState, "a", int64(StateRun), 0)
@@ -70,11 +72,12 @@ func TestRecorderMerge(t *testing.T) {
 		{At: 5, Lane: 1, Seq: 1, Kind: KindRefill},
 		{At: 10, Lane: 0, Seq: 1, Kind: KindVMState, VM: "a", A: int64(StateRun)},
 	}
-	if sink.windows != 1 || !reflect.DeepEqual(sink.Stream, want) {
-		t.Fatalf("%d windows, merged stream:\n%+v\nwant\n%+v", sink.windows, sink.Stream, want)
+	if len(sink.windows) != 1 || !reflect.DeepEqual(sink.windows[0], want) {
+		t.Fatalf("windows:\n%+v\nwant one:\n%+v", sink.windows, want)
 	}
 
-	// Second window: rings were recycled, sequence numbers continue.
+	// Second window: lane buffers were recycled, sequence numbers
+	// continue.
 	m0.Emit(20, KindVMState, "a", int64(StateIdle), 0)
 	if err := r.Finish(30); err != nil {
 		t.Fatal(err)
@@ -82,13 +85,14 @@ func TestRecorderMerge(t *testing.T) {
 	if sink.end != 30 {
 		t.Errorf("Finish time %v, want 30", sink.end)
 	}
-	if sink.windows != 2 {
-		t.Fatalf("windows: %d, want 2", sink.windows)
+	if len(sink.windows) != 2 {
+		t.Fatalf("windows: %d, want 2", len(sink.windows))
 	}
-	if r.Total() != 5 || len(sink.Stream) != 5 {
-		t.Fatalf("Total() = %d, collected %d, want 5", r.Total(), len(sink.Stream))
+	stream := slices.Concat(sink.windows...)
+	if r.Total() != 5 || len(stream) != 5 {
+		t.Fatalf("Total() = %d, collected %d, want 5", r.Total(), len(stream))
 	}
-	if got := sink.Stream[4].Seq; got != 3 {
+	if got := stream[4].Seq; got != 3 {
 		t.Errorf("lane 0 sequence restarted: seq %d, want 3", got)
 	}
 
@@ -96,9 +100,213 @@ func TestRecorderMerge(t *testing.T) {
 	if err := r.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if sink.windows != 2 {
+	if len(sink.windows) != 2 {
 		t.Errorf("empty drain produced a window")
 	}
+}
+
+// byKey orders events by the drain's (At, Lane, Seq) key: the oracle
+// the lane merge must reproduce.
+func byKey(a, b Event) int {
+	return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Lane, b.Lane), cmp.Compare(a.Seq, b.Seq))
+}
+
+// FuzzRecorderDrain checks the lane-merge drain against a full sort of
+// each window. The input picks the shard count, each lane's shard, and
+// then a script of emits and drains: every emit byte picks a lane (the
+// last one is the coordinator's) and moves that lane's clock by -3..+4,
+// so lanes go back in time the way a host lane does when it emits a
+// quantum's end-of-quantum exhaustion before the states stamped at the
+// quantum's start. Windows may be empty or touch only some lanes.
+func FuzzRecorderDrain(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0xff, 0xff})
+	f.Add([]byte{1, 2, 0, 1, 0x10, 0x21, 0x02, 0x13, 0xff, 0x04, 0x00, 0xff})
+	f.Add([]byte("\x03\x05\x00\x01\x02\x03\x04lanes go back in time \xff and forward\xff\xff"))
+	long := make([]byte, 4096)
+	rng := sim.NewRNG(7)
+	for i := range long {
+		long[i] = byte(rng.Uint64())
+	}
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		shards := 1 + int(next()%4)
+		sink := &windowLog{}
+		r := NewRecorder(shards, sink)
+		lanes := make([]*MachineObs, 1+next()%8)
+		for i := range lanes {
+			lanes[i] = NewMachineObs(r.Shard(int(next())%shards), int32(i))
+		}
+		lanes = append(lanes, NewMachineObs(r.CoordinatorShard(), LaneCoordinator))
+		clock := make([]sim.Time, len(lanes))
+		seq := make([]uint32, len(lanes))
+		var pending []Event
+		var want [][]Event
+		total := 0
+		drain := func() {
+			if err := r.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if len(pending) > 0 {
+				slices.SortFunc(pending, byKey)
+				want = append(want, pending)
+				total += len(pending)
+				pending = nil
+			}
+		}
+		for len(data) > 0 {
+			op := next()
+			if op == 0xff {
+				drain()
+				continue
+			}
+			i := int(op) % len(lanes)
+			clock[i] += sim.Time(op>>4%8) - 3
+			seq[i]++
+			lanes[i].Emit(clock[i], Kind(op%17), "vm", int64(op), int64(i))
+			pending = append(pending, Event{At: clock[i], Lane: lanes[i].lane, Seq: seq[i], Kind: Kind(op % 17), VM: "vm", A: int64(op), B: int64(i)})
+		}
+		drain()
+		if !reflect.DeepEqual(sink.windows, want) {
+			t.Fatalf("drained windows:\n%+v\nwant (sorted oracle):\n%+v", sink.windows, want)
+		}
+		if r.Total() != int64(total) {
+			t.Fatalf("Total() = %d, want %d", r.Total(), total)
+		}
+	})
+}
+
+// emitQuanta emits a host-like event mix into every lane: for each
+// quantum, an exhaustion stamped at the quantum's end, then the VM
+// states and the pattern stamped at its start — the host's emission
+// order, which goes back in time once per quantum — and a refill every
+// tenth quantum. It returns the number of events emitted.
+func emitQuanta(lanes []*MachineObs, vms []string, t0 sim.Time, quanta int) int {
+	const q = 1000
+	n := 0
+	for _, m := range lanes {
+		for k := 0; k < quanta; k++ {
+			at := t0 + sim.Time(k)*q
+			m.Emit(at+q, KindExhausted, vms[k%len(vms)], 0, 0)
+			for j, v := range vms {
+				m.Emit(at, KindVMState, v, int64(StateRun+State((k+j)%5)), 0)
+			}
+			m.Emit(at, KindPattern, "", int64(k), int64(len(vms)))
+			n += 2 + len(vms)
+			if k%10 == 0 {
+				m.Emit(at, KindRefill, "", 0, 0)
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// discard is a sink that drops every window.
+type discard struct{}
+
+func (discard) Events([]Event) error  { return nil }
+func (discard) Finish(sim.Time) error { return nil }
+
+// TestZeroAlloc: once warmed, draining a window and encoding one whose
+// tracks already exist allocate nothing.
+func TestZeroAlloc(t *testing.T) {
+	t.Run("Recorder.Drain", func(t *testing.T) {
+		r := NewRecorder(2, discard{})
+		lanes := []*MachineObs{
+			NewMachineObs(r.Shard(0), 0), NewMachineObs(r.Shard(1), 1),
+			NewMachineObs(r.Shard(0), 2), NewMachineObs(r.CoordinatorShard(), LaneCoordinator),
+		}
+		vms := []string{"a", "b", "c"}
+		round := func() {
+			emitQuanta(lanes, vms, 0, 50)
+			if err := r.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round()
+		if n := testing.AllocsPerRun(20, round); n != 0 {
+			t.Errorf("warmed Drain allocates %v times per window", n)
+		}
+	})
+	t.Run("PerfettoWriter.Events", func(t *testing.T) {
+		pw := NewPerfettoWriter(io.Discard)
+		window := goldenWindows()[0]
+		if err := pw.Events(window); err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(20, func() {
+			if err := pw.Events(window); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("Events allocates %v times per window on existing tracks", n)
+		}
+	})
+}
+
+// BenchmarkRecorderDrain measures the lane merge on a host-like window
+// (64 lanes over 2 shards, 3 VMs each, every lane going back in time
+// once per quantum); emission is excluded from the timing.
+func BenchmarkRecorderDrain(b *testing.B) {
+	r := NewRecorder(2, discard{})
+	lanes := make([]*MachineObs, 64)
+	for i := range lanes {
+		lanes[i] = NewMachineObs(r.Shard(i%2), int32(i))
+	}
+	vms := []string{"a", "b", "c"}
+	emitQuanta(lanes, vms, 0, 100)
+	if err := r.Drain(); err != nil {
+		b.Fatal(err)
+	}
+	events := 0
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		events += emitQuanta(lanes, vms, 0, 100)
+		b.StartTimer()
+		if err := r.Drain(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
+// BenchmarkPerfettoEvents measures the Perfetto encoder on the merged
+// window of BenchmarkRecorderDrain, with every track already created.
+func BenchmarkPerfettoEvents(b *testing.B) {
+	sink := &windowLog{}
+	r := NewRecorder(2, sink)
+	lanes := make([]*MachineObs, 64)
+	for i := range lanes {
+		lanes[i] = NewMachineObs(r.Shard(i%2), int32(i))
+	}
+	emitQuanta(lanes, []string{"a", "b", "c"}, 0, 100)
+	if err := r.Drain(); err != nil {
+		b.Fatal(err)
+	}
+	window := sink.windows[0]
+	pw := NewPerfettoWriter(io.Discard)
+	if err := pw.Events(window); err != nil {
+		b.Fatal(err)
+	}
+	events := 0
+	for b.Loop() {
+		if err := pw.Events(window); err != nil {
+			b.Fatal(err)
+		}
+		events += len(window)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
 // TestLedgerConservation exercises the attribution buckets: every

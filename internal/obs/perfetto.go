@@ -1,10 +1,11 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"unicode/utf8"
 
 	"pasched/internal/sim"
 )
@@ -32,93 +33,134 @@ import (
 // are emitted with monotonically non-decreasing timestamps
 // (cmd/tracecheck validates exactly that).
 type PerfettoWriter struct {
-	w       *bufio.Writer
-	err     error
-	wrote   bool
-	tracks  map[trackKey]*vmTrack
-	order   []*vmTrack // tracks in creation order, for a deterministic Finish
-	nextTid map[int32]int64
-	procs   map[int32]bool
+	w     io.Writer
+	buf   []byte // encoded output not yet handed to w, under one block between records
+	err   error
+	wrote bool
+	procs []proc     // indexed by pid
+	order []*vmTrack // tracks in creation order, for a deterministic Finish
 }
 
-type trackKey struct {
-	lane int32
-	vm   string
-}
+// blockSize is the unit in which the writer hands its output to the
+// underlying writer: every write but the final one is exactly one
+// block, the same boundaries a bufio.Writer of this size produces, so a
+// consumer that observes write boundaries (fleetbench digests the bytes
+// written from Finish on separately) sees the same stream.
+const blockSize = 1 << 16
 
 // vmTrack is one VM's thread within a machine process.
 type vmTrack struct {
 	lane      int32
 	tid       int64
 	nameJSON  []byte // JSON-escaped VM name
-	queueJSON []byte // JSON-escaped "queue:<vm>" counter name, lazily built
 	openAt    sim.Time
 	openState State
+}
+
+// proc is one lane's trace process.
+type proc struct {
+	named  bool                // process_name metadata written
+	tracks map[string]*vmTrack // the lane's VM threads, by VM name
 }
 
 // NewPerfettoWriter returns a writer streaming trace-event JSON to w.
 // Call Finish (via the recorder) to close open slices and the JSON
 // document; the caller owns closing the underlying writer.
 func NewPerfettoWriter(w io.Writer) *PerfettoWriter {
-	pw := &PerfettoWriter{
-		w:       bufio.NewWriterSize(w, 1<<16),
-		tracks:  make(map[trackKey]*vmTrack),
-		nextTid: make(map[int32]int64),
-		procs:   make(map[int32]bool),
-	}
-	pw.raw(`{"displayTimeUnit":"ms","traceEvents":[`)
+	// Room for a block plus the record that completes it; a record
+	// longer than 4 KiB grows the buffer once.
+	pw := &PerfettoWriter{w: w, buf: make([]byte, 0, blockSize+4<<10)}
+	pw.buf = append(pw.buf, `{"displayTimeUnit":"ms","traceEvents":[`...)
 	return pw
 }
 
-func (p *PerfettoWriter) raw(s string) {
-	if p.err == nil {
-		_, p.err = p.w.WriteString(s)
-	}
-}
-
-func (p *PerfettoWriter) emitf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
+// record returns the output buffer with the next record's separator
+// appended. The caller appends the record in place with the
+// strconv/append encoders and hands the buffer back to put, so encoding
+// allocates nothing once the buffer has grown to its working size.
+func (p *PerfettoWriter) record() []byte {
+	b := p.buf
 	if p.wrote {
-		p.raw(",\n")
+		b = append(b, ",\n"...)
 	}
 	p.wrote = true
-	_, p.err = fmt.Fprintf(p.w, format, args...)
+	return b
+}
+
+// put takes back the buffer from record and writes out every whole
+// block.
+func (p *PerfettoWriter) put(b []byte) {
+	for len(b) >= blockSize {
+		if p.err == nil {
+			_, p.err = p.w.Write(b[:blockSize])
+		}
+		b = b[:copy(b, b[blockSize:])]
+	}
+	p.buf = b
 }
 
 // pid maps a lane to its trace process id (the coordinator's lane -1
 // becomes pid 0).
 func pid(lane int32) int64 { return int64(lane) + 1 }
 
-// process emits the process_name metadata for a lane once.
-func (p *PerfettoWriter) process(lane int32) {
-	if p.procs[lane] {
-		return
+// appendWhere appends the `"pid":…,"tid":…,"ts":…` fields every timed
+// record carries.
+func appendWhere(b []byte, lane int32, tid int64, at sim.Time) []byte {
+	b = append(b, `"pid":`...)
+	b = strconv.AppendInt(b, pid(lane), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, tid, 10)
+	b = append(b, `,"ts":`...)
+	return strconv.AppendInt(b, int64(at), 10)
+}
+
+// process returns lane's process, emitting its process_name metadata on
+// first sight.
+func (p *PerfettoWriter) process(lane int32) *proc {
+	id := pid(lane)
+	if n := int(id) + 1 - len(p.procs); n > 0 {
+		p.procs = append(p.procs, make([]proc, n)...)
 	}
-	p.procs[lane] = true
-	name := "coordinator"
-	if lane >= 0 {
-		name = fmt.Sprintf("machine-%d", lane)
+	pr := &p.procs[id]
+	if pr.named {
+		return pr
 	}
-	p.emitf(`{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":%q}}`, pid(lane), name)
+	pr.named = true
+	b := p.record()
+	b = append(b, `{"ph":"M","name":"process_name","pid":`...)
+	b = strconv.AppendInt(b, id, 10)
+	if lane < 0 {
+		b = append(b, `,"tid":0,"args":{"name":"coordinator"}}`...)
+	} else {
+		b = append(b, `,"tid":0,"args":{"name":"machine-`...)
+		b = strconv.AppendInt(b, int64(lane), 10)
+		b = append(b, `"}}`...)
+	}
+	p.put(b)
+	return pr
 }
 
 // track returns the VM's thread on lane, creating it (and its metadata
 // events) on first sight.
 func (p *PerfettoWriter) track(lane int32, vmName string) *vmTrack {
-	k := trackKey{lane: lane, vm: vmName}
-	if t, ok := p.tracks[k]; ok {
+	pr := p.process(lane)
+	if t, ok := pr.tracks[vmName]; ok {
 		return t
 	}
-	p.process(lane)
-	p.nextTid[lane]++
-	t := &vmTrack{lane: lane, tid: p.nextTid[lane]}
-	t.nameJSON, _ = json.Marshal(vmName)
-	p.tracks[k] = t
+	if pr.tracks == nil {
+		pr.tracks = make(map[string]*vmTrack)
+	}
+	t := &vmTrack{lane: lane, tid: int64(len(pr.tracks)) + 1, nameJSON: appendJSONString(nil, vmName)}
+	pr.tracks[vmName] = t
 	p.order = append(p.order, t)
-	p.emitf(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%s}}`,
-		pid(lane), t.tid, t.nameJSON)
+	b := p.record()
+	b = append(b, `{"ph":"M","name":"thread_name","pid":`...)
+	b = strconv.AppendInt(b, pid(lane), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, t.tid, 10)
+	b = append(b, `,"args":{"name":`...)
+	b = append(b, t.nameJSON...)
+	p.put(append(b, "}}"...))
 	return t
 }
 
@@ -130,45 +172,93 @@ func (p *PerfettoWriter) closeSlice(t *vmTrack, at sim.Time) {
 	if st == StateNone || st == StateIdle {
 		return
 	}
-	p.emitf(`{"ph":"X","name":%q,"cat":"vm","pid":%d,"tid":%d,"ts":%d,"dur":%d}`,
-		st.String(), pid(t.lane), t.tid, int64(t.openAt), int64(at-t.openAt))
+	b := p.record()
+	b = append(b, `{"ph":"X","name":"`...)
+	b = append(b, st.String()...)
+	b = append(b, `","cat":"vm",`...)
+	b = appendWhere(b, t.lane, t.tid, t.openAt)
+	b = append(b, `,"dur":`...)
+	b = strconv.AppendInt(b, int64(at-t.openAt), 10)
+	p.put(append(b, '}'))
 }
 
-// counter emits one counter sample; name must be pre-escaped JSON.
-func (p *PerfettoWriter) counter(lane int32, nameJSON []byte, at sim.Time, v int64) {
+// counter emits one counter sample named by the JSON string whose
+// escaped form is prefix followed by rest.
+func (p *PerfettoWriter) counter(lane int32, prefix string, rest []byte, at sim.Time, v int64) {
 	p.process(lane)
-	p.emitf(`{"ph":"C","name":%s,"pid":%d,"tid":0,"ts":%d,"args":{"value":%d}}`,
-		nameJSON, pid(lane), int64(at), v)
+	b := p.record()
+	b = append(b, `{"ph":"C","name":`...)
+	b = append(b, prefix...)
+	b = append(b, rest...)
+	b = append(b, ',')
+	b = appendWhere(b, lane, 0, at)
+	b = append(b, `,"args":{"value":`...)
+	b = strconv.AppendInt(b, v, 10)
+	p.put(append(b, "}}"...))
 }
 
-// instant emits one instant event on (lane, tid).
-func (p *PerfettoWriter) instant(lane int32, tid int64, name string, at sim.Time, args string) {
-	p.process(lane)
-	if args == "" {
-		p.emitf(`{"ph":"i","s":"t","name":%q,"pid":%d,"tid":%d,"ts":%d}`,
-			name, pid(lane), tid, int64(at))
+// instantKind describes how one instant Kind exports: its pre-encoded
+// record head, whether its args open with the escaped VM name, and the
+// pre-encoded keys of A and B ("" when the field is not exported).
+type instantKind struct {
+	head       string
+	vm         bool
+	keyA, keyB string
+}
+
+func instantHead(name string) string { return `{"ph":"i","s":"t","name":"` + name + `",` }
+
+// instants maps every instant Kind to its export layout; the other
+// kinds have a zero entry.
+var instants = [...]instantKind{
+	KindRefill:       {head: instantHead("refill")},
+	KindExhausted:    {head: instantHead("exhausted")},
+	KindPattern:      {head: instantHead("pattern"), keyA: `"quanta":`, keyB: `,"vms":`},
+	KindPlace:        {head: instantHead("place"), vm: true, keyA: `,"machine":`},
+	KindReject:       {head: instantHead("reject"), vm: true},
+	KindMigStart:     {head: instantHead("mig-start"), vm: true, keyA: `,"from":`, keyB: `,"to":`},
+	KindMigDone:      {head: instantHead("mig-done"), vm: true, keyA: `,"to":`},
+	KindPowerOn:      {head: instantHead("power-on"), keyA: `"machine":`},
+	KindPowerOff:     {head: instantHead("power-off"), keyA: `"machine":`},
+	KindBarrier:      {head: instantHead("barrier"), keyA: `"live_vms":`},
+	KindRecompensate: {head: instantHead("recompensate"), keyA: `"mhz":`, keyB: `,"vms":`},
+	KindAutoscale:    {head: instantHead("autoscale"), vm: true, keyA: `,"action":`, keyB: `,"value":`},
+}
+
+// instant emits e as an instant event on e's lane, thread tid.
+func (p *PerfettoWriter) instant(e *Event, tid int64, ik *instantKind) {
+	p.process(e.Lane)
+	b := p.record()
+	b = append(b, ik.head...)
+	b = appendWhere(b, e.Lane, tid, e.At)
+	if !ik.vm && ik.keyA == "" {
+		p.put(append(b, '}'))
 		return
 	}
-	p.emitf(`{"ph":"i","s":"t","name":%q,"pid":%d,"tid":%d,"ts":%d,"args":{%s}}`,
-		name, pid(lane), tid, int64(at), args)
+	b = append(b, `,"args":{`...)
+	if ik.vm {
+		b = append(b, `"vm":`...)
+		b = appendJSONString(b, e.VM)
+	}
+	if ik.keyA != "" {
+		b = append(b, ik.keyA...)
+		b = strconv.AppendInt(b, e.A, 10)
+	}
+	if ik.keyB != "" {
+		b = append(b, ik.keyB...)
+		b = strconv.AppendInt(b, e.B, 10)
+	}
+	p.put(append(b, "}}"...))
 }
 
-// boundaryNames are the pre-escaped counter names for KindBoundary
-// sources, keyed by the shared source-name strings.
-var boundaryNames = func() map[string][]byte {
-	m := make(map[string][]byte, len(BoundarySourceNames))
-	for _, s := range BoundarySourceNames {
-		b, _ := json.Marshal("batch:" + s)
-		m[s] = b
+// boundaryNames are the pre-escaped counter names of the KindBoundary
+// sources, parallel to BoundarySourceNames.
+var boundaryNames = func() (names [len(BoundarySourceNames)][]byte) {
+	for i, s := range BoundarySourceNames {
+		names[i] = appendJSONString(nil, "batch:"+s)
 	}
-	return m
+	return names
 }()
-
-var (
-	pstateName = []byte(`"pstate_mhz"`)
-	p50Name    = []byte(`"req_p50_us"`)
-	p99Name    = []byte(`"req_p99_us"`)
-)
 
 // Events implements EventSink.
 func (p *PerfettoWriter) Events(window []Event) error {
@@ -181,45 +271,26 @@ func (p *PerfettoWriter) Events(window []Event) error {
 			t.openAt = e.At
 			t.openState = State(e.A)
 		case KindPState:
-			p.counter(e.Lane, pstateName, e.At, e.A)
-		case KindRefill:
-			p.instant(e.Lane, 0, "refill", e.At, "")
+			p.counter(e.Lane, `"pstate_mhz"`, nil, e.At, e.A)
 		case KindExhausted:
-			t := p.track(e.Lane, e.VM)
-			p.instant(e.Lane, t.tid, "exhausted", e.At, "")
-		case KindPattern:
-			p.instant(e.Lane, 0, "pattern", e.At, fmt.Sprintf(`"quanta":%d,"vms":%d`, e.A, e.B))
+			p.instant(e, p.track(e.Lane, e.VM).tid, &instants[KindExhausted])
 		case KindBoundary:
-			if name, ok := boundaryNames[e.VM]; ok {
-				p.counter(e.Lane, name, e.At, e.A)
+			for j, s := range BoundarySourceNames {
+				if e.VM == s {
+					p.counter(e.Lane, "", boundaryNames[j], e.At, e.A)
+					break
+				}
 			}
 		case KindQueueDepth:
 			t := p.track(e.Lane, e.VM)
-			if t.queueJSON == nil {
-				t.queueJSON, _ = json.Marshal("queue:" + e.VM)
-			}
-			p.counter(e.Lane, t.queueJSON, e.At, e.A)
-		case KindPlace:
-			p.instant(e.Lane, 0, "place", e.At, fmt.Sprintf(`"vm":%s,"machine":%d`, mustJSON(e.VM), e.A))
-		case KindReject:
-			p.instant(e.Lane, 0, "reject", e.At, fmt.Sprintf(`"vm":%s`, mustJSON(e.VM)))
-		case KindMigStart:
-			p.instant(e.Lane, 0, "mig-start", e.At, fmt.Sprintf(`"vm":%s,"from":%d,"to":%d`, mustJSON(e.VM), e.A, e.B))
-		case KindMigDone:
-			p.instant(e.Lane, 0, "mig-done", e.At, fmt.Sprintf(`"vm":%s,"to":%d`, mustJSON(e.VM), e.A))
-		case KindPowerOn:
-			p.instant(e.Lane, 0, "power-on", e.At, fmt.Sprintf(`"machine":%d`, e.A))
-		case KindPowerOff:
-			p.instant(e.Lane, 0, "power-off", e.At, fmt.Sprintf(`"machine":%d`, e.A))
-		case KindBarrier:
-			p.instant(e.Lane, 0, "barrier", e.At, fmt.Sprintf(`"live_vms":%d`, e.A))
+			p.counter(e.Lane, `"queue:`, t.nameJSON[1:], e.At, e.A)
 		case KindLatency:
-			p.counter(e.Lane, p50Name, e.At, e.A)
-			p.counter(e.Lane, p99Name, e.At, e.B)
-		case KindRecompensate:
-			p.instant(e.Lane, 0, "recompensate", e.At, fmt.Sprintf(`"mhz":%d,"vms":%d`, e.A, e.B))
-		case KindAutoscale:
-			p.instant(e.Lane, 0, "autoscale", e.At, fmt.Sprintf(`"vm":%s,"action":%d,"value":%d`, mustJSON(e.VM), e.A, e.B))
+			p.counter(e.Lane, `"req_p50_us"`, nil, e.At, e.A)
+			p.counter(e.Lane, `"req_p99_us"`, nil, e.At, e.B)
+		default:
+			if int(e.Kind) < len(instants) && instants[e.Kind].head != "" {
+				p.instant(e, 0, &instants[e.Kind])
+			}
 		}
 	}
 	return p.err
@@ -234,17 +305,66 @@ func (p *PerfettoWriter) Finish(at sim.Time) error {
 			p.closeSlice(t, at)
 		}
 	}
-	p.raw("\n]}\n")
-	if p.err != nil {
-		return p.err
+	p.put(append(p.buf, "\n]}\n"...))
+	if len(p.buf) > 0 && p.err == nil {
+		_, p.err = p.w.Write(p.buf)
 	}
-	return p.w.Flush()
+	p.buf = p.buf[:0]
+	return p.err
 }
 
-// mustJSON escapes s as a JSON string.
-func mustJSON(s string) []byte {
-	b, _ := json.Marshal(s)
-	return b
+// appendJSONString appends s as a JSON string exactly as encoding/json
+// marshals it: HTML-safe (<, > and & escaped), control bytes escaped,
+// invalid UTF-8 replaced by U+FFFD, and U+2028/U+2029 escaped.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // TraceStats summarizes a validated trace file.
