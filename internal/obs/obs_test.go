@@ -30,28 +30,29 @@ func TestKindAndStateNames(t *testing.T) {
 	}
 }
 
-// windowLog is a sink that keeps a copy of every window it receives
-// and the Finish time.
-type windowLog struct {
-	windows [][]Event
-	end     sim.Time
+// windowCounter is a Collector that also records the size of every
+// window it receives and the Finish time.
+type windowCounter struct {
+	Collector
+	sizes []int
+	end   sim.Time
 }
 
-func (l *windowLog) Events(w []Event) error {
-	l.windows = append(l.windows, slices.Clone(w))
-	return nil
+func (c *windowCounter) Events(w []Event) error {
+	c.sizes = append(c.sizes, len(w))
+	return c.Collector.Events(w)
 }
 
-func (l *windowLog) Finish(at sim.Time) error {
-	l.end = at
+func (c *windowCounter) Finish(at sim.Time) error {
+	c.end = at
 	return nil
 }
 
 // TestRecorderMerge: events of lanes on different shards merge into one
 // window sorted by (At, Lane, Seq), the lane buffers recycle between
-// drains, and an empty drain sends the sink nothing.
+// drains, and a Collector sink retains the concatenated stream.
 func TestRecorderMerge(t *testing.T) {
-	sink := &windowLog{}
+	sink := &windowCounter{}
 	r := NewRecorder(2, sink)
 
 	m0 := NewMachineObs(r.Shard(0), 0)
@@ -72,8 +73,8 @@ func TestRecorderMerge(t *testing.T) {
 		{At: 5, Lane: 1, Seq: 1, Kind: KindRefill},
 		{At: 10, Lane: 0, Seq: 1, Kind: KindVMState, VM: "a", A: int64(StateRun)},
 	}
-	if len(sink.windows) != 1 || !reflect.DeepEqual(sink.windows[0], want) {
-		t.Fatalf("windows:\n%+v\nwant one:\n%+v", sink.windows, want)
+	if len(sink.sizes) != 1 || !reflect.DeepEqual(sink.Stream, want) {
+		t.Fatalf("%d windows, merged stream:\n%+v\nwant\n%+v", len(sink.sizes), sink.Stream, want)
 	}
 
 	// Second window: lane buffers were recycled, sequence numbers
@@ -85,22 +86,27 @@ func TestRecorderMerge(t *testing.T) {
 	if sink.end != 30 {
 		t.Errorf("Finish time %v, want 30", sink.end)
 	}
-	if len(sink.windows) != 2 {
-		t.Fatalf("windows: %d, want 2", len(sink.windows))
+	if len(sink.sizes) != 2 {
+		t.Fatalf("windows: %d, want 2", len(sink.sizes))
 	}
-	stream := slices.Concat(sink.windows...)
-	if r.Total() != 5 || len(stream) != 5 {
-		t.Fatalf("Total() = %d, collected %d, want 5", r.Total(), len(stream))
+	if r.Total() != 5 || len(sink.Stream) != 5 {
+		t.Fatalf("Total() = %d, collected %d, want 5", r.Total(), len(sink.Stream))
 	}
-	if got := stream[4].Seq; got != 3 {
+	if got := sink.Stream[4].Seq; got != 3 {
 		t.Errorf("lane 0 sequence restarted: seq %d, want 3", got)
+	}
+	// The Collector copied the first window, so reusing the drain's
+	// buffer for the second left it intact.
+	want = append(want, Event{At: 20, Lane: 0, Seq: 3, Kind: KindVMState, VM: "a", A: int64(StateIdle)})
+	if !reflect.DeepEqual(sink.Stream, want) {
+		t.Errorf("collected stream:\n%+v\nwant\n%+v", sink.Stream, want)
 	}
 
 	// An empty drain is a no-op for the sink.
 	if err := r.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.windows) != 2 {
+	if len(sink.sizes) != 2 {
 		t.Errorf("empty drain produced a window")
 	}
 }
@@ -139,7 +145,7 @@ func FuzzRecorderDrain(f *testing.F) {
 			return b
 		}
 		shards := 1 + int(next()%4)
-		sink := &windowLog{}
+		sink := &windowCounter{}
 		r := NewRecorder(shards, sink)
 		lanes := make([]*MachineObs, 1+next()%8)
 		for i := range lanes {
@@ -148,18 +154,17 @@ func FuzzRecorderDrain(f *testing.F) {
 		lanes = append(lanes, NewMachineObs(r.CoordinatorShard(), LaneCoordinator))
 		clock := make([]sim.Time, len(lanes))
 		seq := make([]uint32, len(lanes))
-		var pending []Event
-		var want [][]Event
-		total := 0
+		var pending, want []Event
+		var sizes []int
 		drain := func() {
 			if err := r.Drain(); err != nil {
 				t.Fatal(err)
 			}
 			if len(pending) > 0 {
 				slices.SortFunc(pending, byKey)
-				want = append(want, pending)
-				total += len(pending)
-				pending = nil
+				want = append(want, pending...)
+				sizes = append(sizes, len(pending))
+				pending = pending[:0]
 			}
 		}
 		for len(data) > 0 {
@@ -175,11 +180,11 @@ func FuzzRecorderDrain(f *testing.F) {
 			pending = append(pending, Event{At: clock[i], Lane: lanes[i].lane, Seq: seq[i], Kind: Kind(op % 17), VM: "vm", A: int64(op), B: int64(i)})
 		}
 		drain()
-		if !reflect.DeepEqual(sink.windows, want) {
-			t.Fatalf("drained windows:\n%+v\nwant (sorted oracle):\n%+v", sink.windows, want)
+		if !slices.Equal(sink.sizes, sizes) || !reflect.DeepEqual(sink.Stream, want) {
+			t.Fatalf("drained windows of sizes %v:\n%+v\nwant (sorted oracle) sizes %v:\n%+v", sink.sizes, sink.Stream, sizes, want)
 		}
-		if r.Total() != int64(total) {
-			t.Fatalf("Total() = %d, want %d", r.Total(), total)
+		if r.Total() != int64(len(want)) {
+			t.Fatalf("Total() = %d, want %d", r.Total(), len(want))
 		}
 	})
 }
@@ -284,7 +289,7 @@ func BenchmarkRecorderDrain(b *testing.B) {
 // BenchmarkPerfettoEvents measures the Perfetto encoder on the merged
 // window of BenchmarkRecorderDrain, with every track already created.
 func BenchmarkPerfettoEvents(b *testing.B) {
-	sink := &windowLog{}
+	sink := &windowCounter{}
 	r := NewRecorder(2, sink)
 	lanes := make([]*MachineObs, 64)
 	for i := range lanes {
@@ -294,7 +299,7 @@ func BenchmarkPerfettoEvents(b *testing.B) {
 	if err := r.Drain(); err != nil {
 		b.Fatal(err)
 	}
-	window := sink.windows[0]
+	window := sink.Stream
 	pw := NewPerfettoWriter(io.Discard)
 	if err := pw.Events(window); err != nil {
 		b.Fatal(err)

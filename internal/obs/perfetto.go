@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,20 +34,13 @@ import (
 // are emitted with monotonically non-decreasing timestamps
 // (cmd/tracecheck validates exactly that).
 type PerfettoWriter struct {
-	w     io.Writer
-	buf   []byte // encoded output not yet handed to w, under one block between records
+	w     *bufio.Writer
+	rec   []byte // the record being encoded; its backing array is reused
 	err   error
 	wrote bool
 	procs []proc     // indexed by pid
 	order []*vmTrack // tracks in creation order, for a deterministic Finish
 }
-
-// blockSize is the unit in which the writer hands its output to the
-// underlying writer: every write but the final one is exactly one
-// block, the same boundaries a bufio.Writer of this size produces, so a
-// consumer that observes write boundaries (fleetbench digests the bytes
-// written from Finish on separately) sees the same stream.
-const blockSize = 1 << 16
 
 // vmTrack is one VM's thread within a machine process.
 type vmTrack struct {
@@ -67,19 +61,17 @@ type proc struct {
 // Call Finish (via the recorder) to close open slices and the JSON
 // document; the caller owns closing the underlying writer.
 func NewPerfettoWriter(w io.Writer) *PerfettoWriter {
-	// Room for a block plus the record that completes it; a record
-	// longer than 4 KiB grows the buffer once.
-	pw := &PerfettoWriter{w: w, buf: make([]byte, 0, blockSize+4<<10)}
-	pw.buf = append(pw.buf, `{"displayTimeUnit":"ms","traceEvents":[`...)
+	pw := &PerfettoWriter{w: bufio.NewWriterSize(w, 1<<16)}
+	_, pw.err = pw.w.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
 	return pw
 }
 
-// record returns the output buffer with the next record's separator
-// appended. The caller appends the record in place with the
-// strconv/append encoders and hands the buffer back to put, so encoding
-// allocates nothing once the buffer has grown to its working size.
+// record returns the emptied record buffer with the next record's
+// separator appended. The caller appends the record with the
+// strconv/append encoders and hands the buffer to put, so encoding
+// allocates nothing once the buffer has grown to the longest record.
 func (p *PerfettoWriter) record() []byte {
-	b := p.buf
+	b := p.rec[:0]
 	if p.wrote {
 		b = append(b, ",\n"...)
 	}
@@ -87,16 +79,13 @@ func (p *PerfettoWriter) record() []byte {
 	return b
 }
 
-// put takes back the buffer from record and writes out every whole
-// block.
+// put writes the record built from record and keeps its buffer for the
+// next one.
 func (p *PerfettoWriter) put(b []byte) {
-	for len(b) >= blockSize {
-		if p.err == nil {
-			_, p.err = p.w.Write(b[:blockSize])
-		}
-		b = b[:copy(b, b[blockSize:])]
+	p.rec = b
+	if p.err == nil {
+		_, p.err = p.w.Write(b)
 	}
-	p.buf = b
 }
 
 // pid maps a lane to its trace process id (the coordinator's lane -1
@@ -305,12 +294,13 @@ func (p *PerfettoWriter) Finish(at sim.Time) error {
 			p.closeSlice(t, at)
 		}
 	}
-	p.put(append(p.buf, "\n]}\n"...))
-	if len(p.buf) > 0 && p.err == nil {
-		_, p.err = p.w.Write(p.buf)
+	if p.err == nil {
+		_, p.err = p.w.WriteString("\n]}\n")
 	}
-	p.buf = p.buf[:0]
-	return p.err
+	if p.err != nil {
+		return p.err
+	}
+	return p.w.Flush()
 }
 
 // appendJSONString appends s as a JSON string exactly as encoding/json
