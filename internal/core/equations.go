@@ -93,16 +93,11 @@ func ExecTimeAtCredit(timeAtInit, cInit, cj float64) (float64, error) {
 //
 // falling back to the maximum frequency. absLoadPct is in percent. cf is
 // the per-P-state calibration table in ladder order; nil assumes cf = 1
-// everywhere, and a short table is padded with 1s.
+// everywhere, and a short table is padded with 1s. It tabulates the
+// ladder for one call; code that scans repeatedly keeps an OpTable.
 func ComputeNewFreq(prof *cpufreq.Profile, cf []float64, absLoadPct float64) cpufreq.Freq {
-	for i, s := range prof.States {
-		ratio := prof.Ratio(s.Freq)
-		c := cfAt(cf, i)
-		if ratio*100*c > absLoadPct {
-			return s.Freq
-		}
-	}
-	return prof.Max()
+	t := NewOpTable(prof, cf)
+	return t.Freq(t.Level(absLoadPct))
 }
 
 // cfAt returns the calibration factor for ladder index i, defaulting to 1.

@@ -60,7 +60,7 @@ type PASConfig struct {
 type PAS struct {
 	credit      *sched.Credit
 	cpu         *cpufreq.CPU
-	cf          []float64
+	ops         *OpTable
 	interval    sim.Time
 	margin      float64
 	settle      sim.Time
@@ -68,8 +68,18 @@ type PAS struct {
 	next        sim.Time
 	loads       sched.LoadSource
 	initCredit  map[vm.ID]float64
-	recomputes  int
-	tracer      sched.Tracer
+	// capped counts the VMs with a positive initial credit: the ones a
+	// recompensation rewrites.
+	capped int64
+	// compLevel is the ladder position every positive-credit cap was
+	// last compensated for (-1 before the first pass); dirty records an
+	// Add or SetCap since, which leaves some cap uncompensated for it.
+	// Between the two, the inner Credit's caps are exactly what a
+	// recompensation at compLevel would write, so it is skipped.
+	compLevel  int
+	dirty      bool
+	recomputes int
+	tracer     sched.Tracer
 }
 
 var (
@@ -117,12 +127,13 @@ func NewPAS(cfg PASConfig) (*PAS, error) {
 	return &PAS{
 		credit:     cfg.Credit,
 		cpu:        cfg.CPU,
-		cf:         cfg.CF,
+		ops:        NewOpTable(cfg.CPU.Profile(), cfg.CF),
 		interval:   cfg.Interval,
 		margin:     cfg.CapacityMargin,
 		settle:     cfg.SettleTime,
 		next:       cfg.Interval,
 		initCredit: make(map[vm.ID]float64),
+		compLevel:  -1,
 	}, nil
 }
 
@@ -139,14 +150,31 @@ func (p *PAS) Add(v *vm.VM) error {
 	if err := p.credit.Add(v); err != nil {
 		return err
 	}
-	p.initCredit[v.ID()] = v.Credit()
+	p.setInit(v.ID(), v.Credit())
 	return nil
+}
+
+// setInit records id's initial credit, keeping the positive-credit
+// count, and marks the caps dirty: the VM's inner cap is not (or no
+// longer) compensated for compLevel.
+func (p *PAS) setInit(id vm.ID, init float64) {
+	if p.initCredit[id] > 0 {
+		p.capped--
+	}
+	if init > 0 {
+		p.capped++
+	}
+	p.initCredit[id] = init
+	p.dirty = true
 }
 
 // Remove implements sched.Scheduler.
 func (p *PAS) Remove(id vm.ID) error {
 	if err := p.credit.Remove(id); err != nil {
 		return err
+	}
+	if p.initCredit[id] > 0 {
+		p.capped--
 	}
 	delete(p.initCredit, id)
 	return nil
@@ -218,57 +246,46 @@ func (p *PAS) BatchPattern(quota []sched.PatternQuota, quantum sim.Time, max int
 
 // updateDvfsAndCredits is the paper's Listing 1.2: compute the new
 // frequency from the absolute load, derive every VM's compensated credit
-// for that frequency, apply the credits, then apply the frequency.
+// for that frequency, apply the credits, then apply the frequency. The
+// credits are rewritten only when the target P-state differs from the
+// one last compensated for, or when Add/SetCap dirtied the VM set:
+// otherwise every cap already holds the value the rewrite would store.
 func (p *PAS) updateDvfsAndCredits(now sim.Time) {
 	if now < p.settleUntil {
 		return // the load signal still contains pre-transition samples
 	}
-	prof := p.cpu.Profile()
-	curIdx, err := prof.Index(p.cpu.Freq())
-	if err != nil {
-		return // unreachable: the CPU only reports ladder frequencies
-	}
+	cur := p.cpu.Level()
 	global := p.loads.GlobalLoad() * 100
-	abs := AbsoluteLoad(global, p.cpu.Ratio(), cfAt(p.cf, curIdx))
+	abs := AbsoluteLoad(global, p.ops.Ratio(cur), p.ops.CF(cur))
 
-	newFreq := ComputeNewFreq(prof, p.cf, abs*(1+p.margin))
-	newIdx, err := prof.Index(newFreq)
-	if err != nil {
-		return
+	lvl := p.ops.Level(abs * (1 + p.margin))
+	newFreq := p.ops.Freq(lvl)
+	if lvl != p.compLevel || p.dirty {
+		den := p.ops.Denom(lvl) // equation 4: C_init / (ratio * cf)
+		for id, init := range p.initCredit {
+			if init <= 0 {
+				continue // null-credit VMs have no SLA to compensate
+			}
+			// The cap setter rejecting a VM that was registered through
+			// Add would leave the VM capped for the old frequency with no
+			// trace — an accounting invariant violation, not a
+			// recoverable condition. init > 0 was checked and every id is
+			// registered, so it is impossible; enforce it.
+			if err := p.credit.SetCap(id, init/den); err != nil {
+				panic(fmt.Sprintf("core: PAS recompensated cap for VM %d rejected: %v", id, err))
+			}
+		}
+		p.compLevel, p.dirty = lvl, false
 	}
-	ratio := prof.Ratio(newFreq)
-	cf := cfAt(p.cf, newIdx)
-	changed := newFreq != p.cpu.Freq()
-	compensated := int64(0)
-	for id, init := range p.initCredit {
-		if init <= 0 {
-			continue // null-credit VMs have no SLA to compensate
-		}
-		// Compensation failing, or the cap setter rejecting a VM that was
-		// registered through Add, would leave the VM capped for the old
-		// frequency with no trace — an accounting invariant violation, not
-		// a recoverable condition. init > 0 was checked, ratio and cf come
-		// from the validated ladder, and every id is registered, so both
-		// are impossible; enforce it.
-		newCredit, err := CompensatedCredit(init, ratio, cf)
-		if err != nil {
-			panic(fmt.Sprintf("core: PAS recompensation for VM %d (init %v, ratio %v, cf %v): %v",
-				id, init, ratio, cf, err))
-		}
-		if err := p.credit.SetCap(id, newCredit); err != nil {
-			panic(fmt.Sprintf("core: PAS recompensated cap for VM %d rejected: %v", id, err))
-		}
-		compensated++
-	}
-	if changed {
-		_ = p.cpu.SetFreq(newFreq, now) // ladder-validated above
+	if newFreq != p.cpu.Freq() {
+		_ = p.cpu.SetFreq(newFreq, now) // a ladder frequency by construction
 		p.settleUntil = now + p.settle
-		// One decision event per recomputation that changed the enforced
-		// caps (recompensating at an unchanged frequency rewrites identical
-		// values); a single event keeps the emission independent of the
-		// initCredit map's iteration order.
+		// One decision event per recomputation that requests a frequency
+		// change, carrying the number of compensated VMs; a single event
+		// keeps the emission independent of the initCredit map's
+		// iteration order.
 		if rt, ok := p.tracer.(sched.RecompensateTracer); ok {
-			rt.TraceRecompensate(now, int64(newFreq), compensated)
+			rt.TraceRecompensate(now, int64(newFreq), p.capped)
 		}
 	}
 	p.recomputes++
@@ -285,17 +302,8 @@ func (p *PAS) SetCap(id vm.ID, pct float64) error {
 	if pct < 0 {
 		return fmt.Errorf("core: negative credit %v for VM %d", pct, id)
 	}
-	p.initCredit[id] = pct
-	prof := p.cpu.Profile()
-	idx, err := prof.Index(p.cpu.Freq())
-	if err != nil {
-		return err
-	}
-	comp, err := CompensatedCredit(pct, p.cpu.Ratio(), cfAt(p.cf, idx))
-	if err != nil {
-		return err
-	}
-	return p.credit.SetCap(id, comp)
+	p.setInit(id, pct)
+	return p.credit.SetCap(id, pct/p.ops.Denom(p.cpu.Level()))
 }
 
 // Cap implements sched.CapSetter, returning the VM's initial (contracted)

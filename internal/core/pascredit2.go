@@ -36,7 +36,7 @@ import (
 type PASCredit2 struct {
 	c2          *sched.Credit2
 	cpu         *cpufreq.CPU
-	cf          []float64
+	ops         *OpTable
 	interval    sim.Time
 	margin      float64
 	settle      sim.Time
@@ -103,7 +103,7 @@ func NewPASCredit2(cfg PASCredit2Config) (*PASCredit2, error) {
 	return &PASCredit2{
 		c2:         sched.NewCredit2(),
 		cpu:        cfg.CPU,
-		cf:         cfg.CF,
+		ops:        NewOpTable(cfg.CPU.Profile(), cfg.CF),
 		interval:   cfg.Interval,
 		margin:     cfg.CapacityMargin,
 		settle:     cfg.SettleTime,
@@ -208,16 +208,12 @@ func (p *PASCredit2) updateDvfs(now sim.Time) {
 	if now < p.settleUntil {
 		return // the load signal still contains pre-transition samples
 	}
-	prof := p.cpu.Profile()
-	curIdx, err := prof.Index(p.cpu.Freq())
-	if err != nil {
-		return // unreachable: the CPU only reports ladder frequencies
-	}
+	cur := p.cpu.Level()
 	global := p.loads.GlobalLoad() * 100
-	abs := AbsoluteLoad(global, p.cpu.Ratio(), cfAt(p.cf, curIdx))
-	newFreq := ComputeNewFreq(prof, p.cf, abs*(1+p.margin))
+	abs := AbsoluteLoad(global, p.ops.Ratio(cur), p.ops.CF(cur))
+	newFreq := p.ops.Freq(p.ops.Level(abs * (1 + p.margin)))
 	if newFreq != p.cpu.Freq() {
-		_ = p.cpu.SetFreq(newFreq, now) // ladder-validated by ComputeNewFreq
+		_ = p.cpu.SetFreq(newFreq, now) // a ladder frequency by construction
 		p.settleUntil = now + p.settle
 	}
 	p.recomputes++

@@ -29,7 +29,7 @@ import (
 type CreditManager struct {
 	cpu      *cpufreq.CPU
 	caps     sched.CapSetter
-	cf       []float64
+	ops      *OpTable
 	interval sim.Time
 	init     map[vm.ID]float64
 }
@@ -56,30 +56,23 @@ func NewCreditManager(cpu *cpufreq.CPU, caps sched.CapSetter, cf []float64,
 		}
 		init[id] = c
 	}
-	return &CreditManager{cpu: cpu, caps: caps, cf: cf, interval: interval, init: init}, nil
+	return &CreditManager{cpu: cpu, caps: caps, ops: NewOpTable(cpu.Profile(), cf), interval: interval, init: init}, nil
 }
 
 // Interval implements host.Agent.
 func (m *CreditManager) Interval() sim.Time { return m.interval }
 
 // Run implements host.Agent: one daemon iteration.
-func (m *CreditManager) Run(sim.Time) {
-	prof := m.cpu.Profile()
-	idx, err := prof.Index(m.cpu.Freq())
-	if err != nil {
-		return
-	}
-	ratio := m.cpu.Ratio()
-	cf := cfAt(m.cf, idx)
+func (m *CreditManager) Run(sim.Time) { m.compensate(m.cpu.Level()) }
+
+// compensate sets every managed VM's cap to its equation-4 credit at
+// ladder position lvl; unknown VMs are skipped silently.
+func (m *CreditManager) compensate(lvl int) {
+	den := m.ops.Denom(lvl)
 	for id, init := range m.init {
-		if init <= 0 {
-			continue
+		if init > 0 {
+			_ = m.caps.SetCap(id, init/den)
 		}
-		newCredit, err := CompensatedCredit(init, ratio, cf)
-		if err != nil {
-			continue
-		}
-		_ = m.caps.SetCap(id, newCredit) // unknown VMs are skipped silently
 	}
 }
 
@@ -110,34 +103,15 @@ func (m *DVFSCreditManager) Interval() sim.Time { return m.inner.interval }
 
 // Run implements host.Agent: one daemon iteration.
 func (m *DVFSCreditManager) Run(now sim.Time) {
-	cpu := m.inner.cpu
-	prof := cpu.Profile()
-	idx, err := prof.Index(cpu.Freq())
-	if err != nil {
-		return
-	}
+	cpu, ops := m.inner.cpu, m.inner.ops
+	cur := cpu.Level()
 	global := m.loads.GlobalLoad() * 100
-	abs := AbsoluteLoad(global, cpu.Ratio(), cfAt(m.inner.cf, idx))
-	newFreq := ComputeNewFreq(prof, m.inner.cf, abs)
-	if newFreq != cpu.Freq() {
+	abs := AbsoluteLoad(global, ops.Ratio(cur), ops.CF(cur))
+	lvl := ops.Level(abs)
+	if newFreq := ops.Freq(lvl); newFreq != cpu.Freq() {
 		_ = cpu.SetFreq(newFreq, now) // ladder frequency by construction
 	}
 	// Credits are recomputed for the frequency just requested, matching
 	// Listing 1.2's order (credits first would use the stale ratio).
-	newIdx, err := prof.Index(newFreq)
-	if err != nil {
-		return
-	}
-	ratio := prof.Ratio(newFreq)
-	cf := cfAt(m.inner.cf, newIdx)
-	for id, init := range m.inner.init {
-		if init <= 0 {
-			continue
-		}
-		newCredit, err := CompensatedCredit(init, ratio, cf)
-		if err != nil {
-			continue
-		}
-		_ = m.inner.caps.SetCap(id, newCredit)
-	}
+	m.inner.compensate(lvl)
 }

@@ -13,10 +13,12 @@ import (
 type CPU struct {
 	prof        *Profile
 	cur         Freq
+	curLevel    int      // ladder position of cur
 	pending     Freq     // target of an in-flight transition, 0 if none
+	pendLevel   int      // ladder position of pending
 	switchAt    sim.Time // when the in-flight transition completes
 	transitions int
-	residency   map[Freq]sim.Time // accumulated time per frequency
+	residency   []sim.Time // accumulated time per ladder position
 	lastUpdate  sim.Time
 	rateFreq    Freq     // frequency the cached WorkRate was computed for
 	rate        sim.Work // cached exact work rate at rateFreq, per microsecond
@@ -32,7 +34,8 @@ func NewCPU(prof *Profile) (*CPU, error) {
 	return &CPU{
 		prof:      prof,
 		cur:       prof.Max(),
-		residency: make(map[Freq]sim.Time, prof.Levels()),
+		curLevel:  prof.Levels() - 1,
+		residency: make([]sim.Time, prof.Levels()),
 	}, nil
 }
 
@@ -43,18 +46,29 @@ func (c *CPU) Profile() *Profile { return c.prof }
 // transition keeps the old frequency until it completes.
 func (c *CPU) Freq() Freq { return c.cur }
 
+// Level returns the ladder position of the current frequency (0 is the
+// lowest P-state).
+func (c *CPU) Level() int { return c.curLevel }
+
 // Transitions returns the number of completed frequency switches.
 func (c *CPU) Transitions() int { return c.transitions }
 
 // Residency returns the accumulated simulated time spent at frequency f, as
 // of the last Advance call.
-func (c *CPU) Residency(f Freq) sim.Time { return c.residency[f] }
+func (c *CPU) Residency(f Freq) sim.Time {
+	i, err := c.prof.Index(f)
+	if err != nil {
+		return 0
+	}
+	return c.residency[i]
+}
 
 // SetFreq requests a switch to frequency f at time now. The switch
 // completes after the profile's transition latency; requesting the current
 // frequency is a no-op. Unsupported frequencies return an error.
 func (c *CPU) SetFreq(f Freq, now sim.Time) error {
-	if _, err := c.prof.Index(f); err != nil {
+	i, err := c.prof.Index(f)
+	if err != nil {
 		return fmt.Errorf("cpufreq: set frequency: %w", err)
 	}
 	if f == c.cur && c.pending == 0 {
@@ -63,7 +77,7 @@ func (c *CPU) SetFreq(f Freq, now sim.Time) error {
 	if c.pending != 0 && f == c.pending {
 		return nil
 	}
-	c.pending = f
+	c.pending, c.pendLevel = f, i
 	c.switchAt = now + c.prof.TransitionLatency
 	return nil
 }
@@ -84,12 +98,12 @@ func (c *CPU) PendingSwitch() (Freq, sim.Time, bool) {
 // the CPU's throughput.
 func (c *CPU) Advance(now sim.Time) {
 	if now > c.lastUpdate {
-		c.residency[c.cur] += now - c.lastUpdate
+		c.residency[c.curLevel] += now - c.lastUpdate
 		c.lastUpdate = now
 	}
 	if c.pending != 0 && now >= c.switchAt {
 		if c.pending != c.cur {
-			c.cur = c.pending
+			c.cur, c.curLevel = c.pending, c.pendLevel
 			c.transitions++
 		}
 		c.pending = 0
@@ -129,13 +143,7 @@ func (c *CPU) WorkRate() sim.Work {
 func (c *CPU) Ratio() float64 { return c.prof.Ratio(c.cur) }
 
 // Efficiency returns the ground-truth efficiency at the current frequency.
-func (c *CPU) Efficiency() float64 {
-	eff, err := c.prof.Efficiency(c.cur)
-	if err != nil {
-		return 1
-	}
-	return eff
-}
+func (c *CPU) Efficiency() float64 { return c.prof.States[c.curLevel].Efficiency }
 
 // Power returns the present power draw in watts at utilization util.
 func (c *CPU) Power(util float64) float64 {

@@ -189,7 +189,7 @@ func (p *Profile) WorkRate(f Freq) (sim.Work, error) {
 	if err != nil {
 		return 0, err
 	}
-	return sim.Work(float64(f)*eff*float64(sim.WorkUnit) + 0.5), nil
+	return sim.Work(float64(float64(f)*eff*float64(sim.WorkUnit)) + 0.5), nil
 }
 
 // EfficiencyTable returns the per-P-state efficiencies in ladder order:
@@ -219,7 +219,10 @@ func (p *Profile) Power(f Freq, util float64) (float64, error) {
 	s := p.States[i]
 	fGHz := float64(s.Freq) / 1000
 	dyn := p.DynCoeff * s.Voltage * s.Voltage * fGHz
-	return p.StaticPower + dyn*(p.IdleFactor+(1-p.IdleFactor)*util), nil
+	// The conversions are rounding barriers: the Go spec lets a compiler
+	// fuse x*y+z into one FMA (arm64, ppc64le and s390x do), and a fused
+	// sum differs in the last bit from the amd64 result.
+	return p.StaticPower + float64(dyn*float64(p.IdleFactor+float64((1-p.IdleFactor)*util))), nil
 }
 
 func abs(x int) int {

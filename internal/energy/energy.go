@@ -124,7 +124,7 @@ func (m *Meter) powerMicrowatts(i int, util float64) int64 {
 	if util > 1 {
 		util = 1
 	}
-	p := m.prof.StaticPower + m.dyn[i]*(m.prof.IdleFactor+(1-m.prof.IdleFactor)*util)
+	p := m.prof.StaticPower + float64(m.dyn[i]*float64(m.prof.IdleFactor+float64((1-m.prof.IdleFactor)*util)))
 	return int64(math.Round(p * 1e6))
 }
 

@@ -53,7 +53,7 @@ func Verify() (*Result, error) {
 	for _, r := range rows {
 		tb.AddRow(r.Label, metrics.Fmt(r.Measured, 4), metrics.Fmt(r.Predicted, 4))
 		res.Checks = append(res.Checks, checkNear(
-			"eq3 credit "+r.Label, "proportional", r.Measured, r.Predicted, 0.02*r.Predicted+0.02))
+			"eq3 credit "+r.Label, "proportional", r.Measured, r.Predicted, float64(0.02*r.Predicted)+0.02))
 	}
 	res.Tables = append(res.Tables, tb)
 	return res, nil
@@ -174,7 +174,7 @@ func ablationRun(variant implVariant) (deficit float64, transitions int, err err
 		}
 		// V70 is entitled to 70% only while its square wave is busy; skip
 		// the sample bins overlapping an on/off edge.
-		inPeriod := t - float64(int(t/30))*30
+		inPeriod := t - float64(float64(int(t/30))*30)
 		if inPeriod >= 1 && inPeriod < 14 {
 			if d := 70 - a70.V[i]; d > 0 {
 				deficit += d

@@ -884,7 +884,7 @@ func (f *Fleet) reserve(i int, r Request) {
 	st := &f.states[i]
 	st.FreeMemMB -= r.MemoryMB
 	st.FreeCreditPct -= r.CreditPct
-	st.OfferedLoadPct += r.CreditPct * r.MeanActivity
+	st.OfferedLoadPct += float64(r.CreditPct * r.MeanActivity)
 	f.stateChanged(i)
 }
 
@@ -892,7 +892,7 @@ func (f *Fleet) release(i int, r Request) {
 	st := &f.states[i]
 	st.FreeMemMB += r.MemoryMB
 	st.FreeCreditPct += r.CreditPct
-	st.OfferedLoadPct -= r.CreditPct * r.MeanActivity
+	st.OfferedLoadPct -= float64(r.CreditPct * r.MeanActivity)
 	f.stateChanged(i)
 }
 
@@ -1499,7 +1499,7 @@ func (f *Fleet) consolidate() error {
 				}
 				states[si].FreeMemMB -= p.req.MemoryMB
 				states[si].FreeCreditPct -= p.req.CreditPct
-				states[si].OfferedLoadPct += p.req.CreditPct * p.req.MeanActivity
+				states[si].OfferedLoadPct += float64(p.req.CreditPct * p.req.MeanActivity)
 				found = true
 				break
 			}
@@ -1673,7 +1673,7 @@ func (f *Fleet) reportBarrier(t sim.Time) error {
 	dt := f.iv.TimeS - f.prevTimeS
 	f.prevTimeS = f.iv.TimeS
 	f.sumDt += dt
-	f.sumActive += float64(active) * dt
+	f.sumActive += float64(float64(active) * dt)
 	if active > f.peakActive {
 		f.peakActive = active
 	}

@@ -273,14 +273,14 @@ func (s *genSource) Next() (VMEvent, bool) {
 // diurnalWave is the shared intensity/activity modulation: 1 plus a
 // sine of the configured period, scaled by the amplitude.
 func diurnalWave(cfg GenConfig, at sim.Time) float64 {
-	return 1 + cfg.DiurnalAmplitude*math.Sin(2*math.Pi*at.Seconds()/cfg.DiurnalPeriod.Seconds())
+	return 1 + float64(cfg.DiurnalAmplitude*math.Sin(2*math.Pi*at.Seconds()/cfg.DiurnalPeriod.Seconds()))
 }
 
 // cumIntensity is the integral of the diurnal wave from 0 to tau (tau
 // in sim.Time units): tau + A*(P/2pi)*(1 - cos(2pi*tau/P)).
 func cumIntensity(tau float64, cfg GenConfig) float64 {
 	w := 2 * math.Pi / float64(cfg.DiurnalPeriod)
-	return tau + cfg.DiurnalAmplitude/w*(1-math.Cos(w*tau))
+	return tau + float64(cfg.DiurnalAmplitude/w*(1-math.Cos(w*tau)))
 }
 
 // invCumIntensity inverts cumIntensity on [0, Horizon] by Newton with a
@@ -298,7 +298,7 @@ func invCumIntensity(target float64, cfg GenConfig) float64 {
 		tau = hi
 	}
 	for iter := 0; iter < 64; iter++ {
-		f := tau + cfg.DiurnalAmplitude/w*(1-math.Cos(w*tau)) - target
+		f := tau + float64(cfg.DiurnalAmplitude/w*(1-math.Cos(w*tau))) - target
 		if f > 0 {
 			hi = tau
 		} else if f < 0 {
@@ -306,7 +306,7 @@ func invCumIntensity(target float64, cfg GenConfig) float64 {
 		} else {
 			return tau
 		}
-		d := 1 + cfg.DiurnalAmplitude*math.Sin(w*tau)
+		d := 1 + float64(cfg.DiurnalAmplitude*math.Sin(w*tau))
 		next := tau - f/d
 		if next <= lo || next >= hi {
 			next = 0.5 * (lo + hi)
@@ -357,7 +357,7 @@ func demandProfile(cfg GenConfig, rng *sim.RNG, class VMClass, start, end sim.Ti
 		if segEnd > end {
 			segEnd = end
 		}
-		jitter := 0.75 + 0.5*rng.Float64()
+		jitter := 0.75 + float64(0.5*rng.Float64())
 		act := cfg.BaseActivity * diurnalWave(cfg, at) * jitter / (1 + cfg.DiurnalAmplitude)
 		if act > 1 {
 			act = 1
@@ -370,7 +370,7 @@ func demandProfile(cfg GenConfig, rng *sim.RNG, class VMClass, start, end sim.Ti
 			phases = append(phases, workload.Phase{Start: at, End: segEnd, Rate: rate})
 		}
 		dur := (segEnd - at).Seconds()
-		sumAct += act * dur
+		sumAct += float64(act * dur)
 		sumDur += dur
 	}
 	mean := 0.0

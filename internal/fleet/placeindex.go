@@ -3,6 +3,8 @@ package fleet
 import (
 	"math"
 	"math/bits"
+
+	"pasched/internal/core"
 )
 
 // placeIndex answers Policy.Place queries for one of the built-in
@@ -375,19 +377,35 @@ func (x *bfIndex) place(r Request) (int, bool) {
 // scan implements. At cloud scale the off pool dominates the estate, so
 // the estimate runs O(on + classes) times per arrival instead of
 // O(machines).
+//
+// Each class's operating-point table is resolved once (every machine of
+// a class carries the class profile), and update caches every on
+// machine's base estimate at its current offered load, so a query
+// costs one table estimate per candidate: the cost the oracle computes
+// as estimate(load+add) - estimate(load) reuses the second term.
 type dvfsIndex struct {
 	states []MachineState
 	pol    DVFSAware
 	off    offIndex
+	tab    []*core.OpTable // per machine class
 
-	on  []int32 // dense, unordered
-	pos []int32 // machine -> position in on, -1 if off
+	on   []int32   // dense, unordered
+	pos  []int32   // machine -> position in on, -1 if off
+	base []float64 // machine -> estimate(OfferedLoadPct), valid while on
 }
 
 func (x *dvfsIndex) init() {
 	n := len(x.states)
+	x.tab = make([]*core.OpTable, len(x.off.words))
+	var tabs opTables
+	for i := range x.states {
+		if ci := x.off.classOf[i]; x.tab[ci] == nil {
+			x.tab[ci] = tabs.of(x.states[i].Profile)
+		}
+	}
 	x.on = make([]int32, 0, n)
 	x.pos = make([]int32, n)
+	x.base = make([]float64, n)
 	for i := range x.pos {
 		x.pos[i] = -1
 	}
@@ -398,22 +416,25 @@ func (x *dvfsIndex) init() {
 
 func (x *dvfsIndex) update(i int) {
 	x.off.update(i)
-	on := x.states[i].On
+	m := &x.states[i]
 	switch p := x.pos[i]; {
-	case on && p < 0:
+	case m.On && p < 0:
 		x.pos[i] = int32(len(x.on))
 		x.on = append(x.on, int32(i))
-	case !on && p >= 0:
+	case !m.On && p >= 0:
 		last := x.on[len(x.on)-1]
 		x.on[p] = last
 		x.pos[last] = p
 		x.on = x.on[:len(x.on)-1]
 		x.pos[i] = -1
 	}
+	if m.On {
+		x.base[i] = x.pol.estimate(x.tab[x.off.classOf[i]], m.OfferedLoadPct)
+	}
 }
 
 func (x *dvfsIndex) place(r Request) (int, bool) {
-	add := r.CreditPct * r.MeanActivity
+	add := float64(r.CreditPct * r.MeanActivity) // rounded: the sums below must not fuse it
 	best, bestCost := -1, 0.0
 	// The on list is unordered, so the linear scan's first-wins tie
 	// handling becomes an explicit lexicographic (cost, index) minimum.
@@ -422,21 +443,20 @@ func (x *dvfsIndex) place(r Request) (int, bool) {
 		if !m.Fits(r) {
 			continue
 		}
-		cost := x.pol.estimate(*m, m.OfferedLoadPct+add) - x.pol.estimate(*m, m.OfferedLoadPct)
+		cost := x.pol.estimate(x.tab[x.off.classOf[i]], m.OfferedLoadPct+add) - x.base[i]
 		if best < 0 || cost < bestCost || (cost == bestCost && int(i) < best) {
 			best, bestCost = int(i), cost
 		}
 	}
-	for ci := range x.off.words {
+	for ci, t := range x.tab {
 		rep := x.off.min(int32(ci))
 		if rep < 0 {
 			continue
 		}
-		m := &x.states[rep]
-		if !m.Fits(r) {
+		if !x.states[rep].Fits(r) {
 			continue
 		}
-		cost := x.pol.estimate(*m, add)
+		cost := x.pol.estimate(t, add)
 		if best < 0 || cost < bestCost || (cost == bestCost && rep < best) {
 			best, bestCost = rep, cost
 		}

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"pasched/internal/cpufreq"
@@ -150,6 +152,13 @@ func allPolicies() []Policy {
 	return []Policy{NewFirstFit(), NewBestFit(), NewDVFSAware()}
 }
 
+// differentialPolicies adds the zero-value DVFSAware (Margin 0) to the
+// built-in policies: it must take the indexed path like the
+// constructor's value.
+func differentialPolicies() []Policy {
+	return append(allPolicies(), DVFSAware{})
+}
+
 // FuzzIndexedPlacement is the tentpole differential fuzz: random
 // machine estates under random arrival/departure/power churn, with
 // every placement decision of every built-in policy checked against the
@@ -162,7 +171,7 @@ func FuzzIndexedPlacement(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, seed uint64, nA, nB, ops uint8) {
 		counts := []int{1 + int(nA)%32, int(nB) % 32}
-		for _, pol := range allPolicies() {
+		for _, pol := range differentialPolicies() {
 			h := newIdxHarness(pol, counts)
 			h.churn(t, sim.NewRNG(seed), 3+int(ops))
 		}
@@ -174,10 +183,59 @@ func FuzzIndexedPlacement(f *testing.F) {
 // machines, thousands of operations, every policy.
 func TestPlacementIndexEquivalence(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 1002} {
-		for _, pol := range allPolicies() {
+		for _, pol := range differentialPolicies() {
 			h := newIdxHarness(pol, []int{160, 140})
 			h.churn(t, sim.NewRNG(seed), 4000)
 		}
+	}
+}
+
+// TestSharedDVFSAwareConcurrentFleets runs two fleets concurrently on
+// one DVFSAware value, through both the placement index and the
+// policy's own Place (consolidation plans with it): the value carries
+// no mutable state, so the runs neither race (go test -race) nor
+// differ from a run on a value of their own.
+func TestSharedDVFSAwareConcurrentFleets(t *testing.T) {
+	tr := genTrace(t, GenConfig{Seed: 5, Arrivals: 60, Horizon: 120 * sim.Second,
+		MeanLifetime: 60 * sim.Second})
+	pol := NewDVFSAware()
+	cfg := func(p Policy) Config {
+		return Config{
+			Machines:         testMachines(5, 5),
+			Scheduler:        "pas",
+			Policy:           p,
+			ReportEvery:      30 * sim.Second,
+			ConsolidateEvery: 20 * sim.Second,
+			Seed:             5,
+		}
+	}
+	want := runFleet(t, cfg(NewDVFSAware()), tr, 120*sim.Second)
+	reps := make([]*Report, 2)
+	errs := make([]error, len(reps))
+	var wg sync.WaitGroup
+	for k := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f, err := New(cfg(pol), tr)
+			if err == nil {
+				reps[k], err = f.Run(120 * sim.Second)
+			}
+			errs[k] = err
+		}()
+	}
+	wg.Wait()
+	for k, rep := range reps {
+		if errs[k] != nil {
+			t.Fatal(errs[k])
+		}
+		if !reflect.DeepEqual(rep.Summary, want.Summary) || !reflect.DeepEqual(rep.Intervals, want.Intervals) ||
+			!reflect.DeepEqual(rep.PerVM, want.PerVM) {
+			t.Fatalf("fleet %d on the shared policy differs from a run on its own policy", k)
+		}
+	}
+	if want.Summary.Migrated == 0 {
+		t.Fatal("no migration: the policy's own Place never ran")
 	}
 }
 

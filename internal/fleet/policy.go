@@ -135,41 +135,39 @@ func (BestFit) Place(machines []MachineState, r Request) (int, bool) {
 // new machine competes against those deltas at its full (static +
 // dynamic) cost, so it happens only when it is genuinely cheaper than
 // cramming.
+//
+// The estimates read each profile's core.OpTable. A DVFSAware value
+// holds no other state, so one value may serve concurrent fleets.
 type DVFSAware struct {
 	// Margin is the capacity headroom kept above the estimated load when
 	// choosing the operating frequency, as in core.PASConfig; the
 	// constructor sets 0.05.
 	Margin float64
-	// eff memoizes each profile's efficiency table: the estimate runs
-	// for every candidate machine of every arrival, and the table is a
-	// fresh allocation per EfficiencyTable call. Policies run on the
-	// single-threaded fleet loop, so a plain map is fine.
-	eff map[*cpufreq.Profile][]float64
 }
 
 // NewDVFSAware returns the DVFS-aware packing policy.
-func NewDVFSAware() DVFSAware {
-	return DVFSAware{Margin: 0.05, eff: make(map[*cpufreq.Profile][]float64)}
-}
+func NewDVFSAware() DVFSAware { return DVFSAware{Margin: 0.05} }
 
 // Name implements Policy.
 func (DVFSAware) Name() string { return "dvfs-aware" }
 
 // Place implements Policy.
 func (p DVFSAware) Place(machines []MachineState, r Request) (int, bool) {
-	add := r.CreditPct * r.MeanActivity
+	add := float64(r.CreditPct * r.MeanActivity) // rounded: the sums below must not fuse it
+	var tabs opTables
 	best, bestCost := -1, 0.0
 	for _, m := range machines {
 		if !m.Fits(r) {
 			continue
 		}
+		t := tabs.of(m.Profile)
 		var cost float64
 		if m.On {
-			cost = p.estimate(m, m.OfferedLoadPct+add) - p.estimate(m, m.OfferedLoadPct)
+			cost = p.estimate(t, m.OfferedLoadPct+add) - p.estimate(t, m.OfferedLoadPct)
 		} else {
 			// Powering on pays the machine's whole draw, idle floor
 			// included.
-			cost = p.estimate(m, add)
+			cost = p.estimate(t, add)
 		}
 		if best < 0 || cost < bestCost {
 			best, bestCost = m.Index, cost
@@ -181,32 +179,37 @@ func (p DVFSAware) Place(machines []MachineState, r Request) (int, bool) {
 	return best, true
 }
 
-// estimate returns the machine's estimated power draw (watts) when
+// estimate returns a machine's estimated power draw (watts) when
 // serving absLoadPct percent of its maximum capacity at the PAS operating
 // point: the lowest ladder frequency whose compensated capacity covers
-// the load plus margin.
-func (p DVFSAware) estimate(m MachineState, absLoadPct float64) float64 {
-	prof := m.Profile
-	cf := p.eff[prof] // nil-map reads are fine for a zero-value policy
-	if cf == nil {
-		cf = prof.EfficiencyTable()
-		if p.eff != nil {
-			p.eff[prof] = cf
+// the load plus margin. t is the machine profile's table.
+func (p DVFSAware) estimate(t *core.OpTable, absLoadPct float64) float64 {
+	i := t.Level(absLoadPct * (1 + p.Margin))
+	util := 0.0
+	if re := t.RatioEff(i); re > 0 {
+		util = absLoadPct / 100 / re
+	}
+	return t.Power(i, util)
+}
+
+// opTables resolves each profile's operating-point table once. The
+// calibration table is the profile's ground-truth efficiency, what a
+// perfect calibration of the paper's cf factors measures.
+type opTables struct {
+	profs []*cpufreq.Profile
+	tabs  []*core.OpTable
+}
+
+func (o *opTables) of(prof *cpufreq.Profile) *core.OpTable {
+	for i, p := range o.profs {
+		if p == prof {
+			return o.tabs[i]
 		}
 	}
-	f := core.ComputeNewFreq(prof, cf, absLoadPct*(1+p.Margin))
-	util := 0.0
-	if eff, err := prof.Efficiency(f); err == nil && eff > 0 {
-		util = absLoadPct / 100 / (prof.Ratio(f) * eff)
-	}
-	if util > 1 {
-		util = 1
-	}
-	w, err := prof.Power(f, util)
-	if err != nil {
-		return 0
-	}
-	return w
+	t := core.NewOpTable(prof, prof.EfficiencyTable())
+	o.profs = append(o.profs, prof)
+	o.tabs = append(o.tabs, t)
+	return t
 }
 
 // PolicyByName returns the named built-in policy ("first-fit",

@@ -438,7 +438,7 @@ func (h *Host) step(now sim.Time) error {
 			if frac > 1 {
 				frac = 1
 			}
-			busy := sim.Time(float64(h.cfg.Quantum)*frac + 0.5)
+			busy := sim.Time(float64(float64(h.cfg.Quantum)*frac) + 0.5)
 			if busy > h.cfg.Quantum {
 				busy = h.cfg.Quantum
 			}

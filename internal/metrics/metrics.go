@@ -160,7 +160,7 @@ func (s *Series) Stddev() float64 {
 	sum := 0.0
 	for _, v := range s.V {
 		d := v - mean
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum / float64(len(s.V)))
 }

@@ -104,6 +104,7 @@ type coreState struct {
 type Cluster struct {
 	cfg   Config
 	cf    []float64
+	ops   *core.OpTable
 	cores []*coreState
 	now   sim.Time
 	step  int
@@ -157,6 +158,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("multicore: scheduler %q not accepted (accepted: credit (fix-credit), credit2)", cfg.Scheduler)
 	}
 	c := &Cluster{cfg: cfg, cf: cfg.Profile.EfficiencyTable()}
+	c.ops = core.NewOpTable(cfg.Profile, c.cf)
 	for i := 0; i < cfg.Cores; i++ {
 		cpu, err := cpufreq.NewCPU(cfg.Profile)
 		if err != nil {
@@ -268,14 +270,9 @@ func (c *Cluster) Run(d sim.Time) error {
 
 // desiredFreq computes the PAS target frequency for one core.
 func (c *Cluster) desiredFreq(cs *coreState) cpufreq.Freq {
-	prof := cs.cpu.Profile()
-	idx, err := prof.Index(cs.cpu.Freq())
-	if err != nil {
-		return prof.Max()
-	}
-	cf := c.cf[idx]
-	abs := core.AbsoluteLoad(cs.host.GlobalLoad()*100, cs.cpu.Ratio(), cf)
-	return core.ComputeNewFreq(prof, c.cf, abs*(1+c.cfg.CapacityMargin))
+	cur := cs.cpu.Level()
+	abs := core.AbsoluteLoad(cs.host.GlobalLoad()*100, c.ops.Ratio(cur), c.ops.CF(cur))
+	return c.ops.Freq(c.ops.Level(abs * (1 + c.cfg.CapacityMargin)))
 }
 
 // coordinate runs one cluster-level PAS iteration.

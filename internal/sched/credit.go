@@ -119,7 +119,7 @@ func (c *Credit) VMs() []*vm.VM {
 // integer microseconds — the single float-to-integer edge of the credit
 // accounting (rounded to the nearest microsecond).
 func (c *Credit) refillMicros(capPct float64) int64 {
-	return int64(capPct/100*float64(c.cfg.Period) + 0.5)
+	return int64(float64(capPct/100*float64(c.cfg.Period)) + 0.5)
 }
 
 // Pick implements Scheduler. Selection order:

@@ -33,7 +33,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a pseudo-random value in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
+	return float64(float64(r.Uint64()>>11) / float64(1<<53)) // a rounding barrier against FMA fusion at call sites
 }
 
 // ExpFloat64 returns an exponentially distributed value with mean 1.

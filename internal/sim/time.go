@@ -59,7 +59,7 @@ func (t Time) String() string {
 // FromSeconds converts a floating-point number of seconds into a Time,
 // rounding to the nearest microsecond.
 func FromSeconds(s float64) Time {
-	return Time(s*float64(Second) + 0.5)
+	return Time(float64(s*float64(Second)) + 0.5)
 }
 
 // Clock is the simulation clock. The zero value is a clock at time zero,

@@ -44,7 +44,7 @@ func WorkFromUnits(u float64) Work {
 	if u <= 0 {
 		return 0
 	}
-	return Work(u*float64(WorkUnit) + 0.5)
+	return Work(float64(u*float64(WorkUnit)) + 0.5)
 }
 
 // Units returns w expressed in floating-point work units — the

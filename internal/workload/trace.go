@@ -129,7 +129,7 @@ func (w *TraceWorkload) Tick(now sim.Time) {
 		// Materialize the integer milli-units and carry the sub-unit
 		// residue, so accrual never drifts from the integrated demand by
 		// more than one milli-unit regardless of tick granularity.
-		w.carry += w.rateAt(t) * (end - t).Seconds() * float64(sim.WorkUnit)
+		w.carry += float64(w.rateAt(t) * (end - t).Seconds() * float64(sim.WorkUnit))
 		whole := sim.Work(w.carry)
 		w.carry -= float64(whole)
 		w.queue += whole
