@@ -379,19 +379,30 @@ func (x *bfIndex) place(r Request) (int, bool) {
 // O(machines).
 //
 // Each class's operating-point table is resolved once (every machine of
-// a class carries the class profile), and update caches every on
-// machine's base estimate at its current offered load, so a query
-// costs one table estimate per candidate: the cost the oracle computes
-// as estimate(load+add) - estimate(load) reuses the second term.
+// a class carries the class profile). The on list is a dense array of
+// candidates holding copies of what a query reads — free capacity,
+// offered load, the class table — plus the power estimate at the
+// current offered load, refreshed by update. A query therefore walks
+// one contiguous array and costs one table estimate per candidate that
+// fits: the cost the oracle computes as estimate(load+add) -
+// estimate(load) reuses the cached second term.
 type dvfsIndex struct {
 	states []MachineState
 	pol    DVFSAware
 	off    offIndex
 	tab    []*core.OpTable // per machine class
 
-	on   []int32   // dense, unordered
-	pos  []int32   // machine -> position in on, -1 if off
-	base []float64 // machine -> estimate(OfferedLoadPct), valid while on
+	on  []dvfsCand // dense, unordered
+	pos []int32    // machine -> position in on, -1 if off
+}
+
+type dvfsCand struct {
+	tab  *core.OpTable
+	load float64 // OfferedLoadPct
+	base float64 // estimate(load)
+	cred float64 // FreeCreditPct
+	mem  int     // FreeMemMB
+	idx  int32
 }
 
 func (x *dvfsIndex) init() {
@@ -403,9 +414,8 @@ func (x *dvfsIndex) init() {
 			x.tab[ci] = tabs.of(x.states[i].Profile)
 		}
 	}
-	x.on = make([]int32, 0, n)
+	x.on = make([]dvfsCand, 0, n)
 	x.pos = make([]int32, n)
-	x.base = make([]float64, n)
 	for i := range x.pos {
 		x.pos[i] = -1
 	}
@@ -417,19 +427,30 @@ func (x *dvfsIndex) init() {
 func (x *dvfsIndex) update(i int) {
 	x.off.update(i)
 	m := &x.states[i]
-	switch p := x.pos[i]; {
+	p := x.pos[i]
+	switch {
 	case m.On && p < 0:
-		x.pos[i] = int32(len(x.on))
-		x.on = append(x.on, int32(i))
+		p = int32(len(x.on))
+		x.pos[i] = p
+		x.on = append(x.on, dvfsCand{})
 	case !m.On && p >= 0:
-		last := x.on[len(x.on)-1]
-		x.on[p] = last
-		x.pos[last] = p
-		x.on = x.on[:len(x.on)-1]
+		last := len(x.on) - 1
+		x.on[p] = x.on[last]
+		x.pos[x.on[p].idx] = p
+		x.on = x.on[:last]
 		x.pos[i] = -1
+		return
+	case !m.On:
+		return
 	}
-	if m.On {
-		x.base[i] = x.pol.estimate(x.tab[x.off.classOf[i]], m.OfferedLoadPct)
+	t := x.tab[x.off.classOf[i]]
+	x.on[p] = dvfsCand{
+		tab:  t,
+		load: m.OfferedLoadPct,
+		base: x.pol.estimate(t, m.OfferedLoadPct),
+		cred: m.FreeCreditPct,
+		mem:  m.FreeMemMB,
+		idx:  int32(i),
 	}
 }
 
@@ -438,14 +459,14 @@ func (x *dvfsIndex) place(r Request) (int, bool) {
 	best, bestCost := -1, 0.0
 	// The on list is unordered, so the linear scan's first-wins tie
 	// handling becomes an explicit lexicographic (cost, index) minimum.
-	for _, i := range x.on {
-		m := &x.states[i]
-		if !m.Fits(r) {
+	for k := range x.on {
+		c := &x.on[k]
+		if !(c.mem >= r.MemoryMB && c.cred >= r.CreditPct) { // MachineState.Fits
 			continue
 		}
-		cost := x.pol.estimate(x.tab[x.off.classOf[i]], m.OfferedLoadPct+add) - x.base[i]
-		if best < 0 || cost < bestCost || (cost == bestCost && int(i) < best) {
-			best, bestCost = int(i), cost
+		cost := x.pol.estimate(c.tab, c.load+add) - c.base
+		if i := int(c.idx); best < 0 || cost < bestCost || (cost == bestCost && i < best) {
+			best, bestCost = i, cost
 		}
 	}
 	for ci, t := range x.tab {

@@ -311,28 +311,20 @@ func (c *Cluster) coordinate() {
 // work-conserving weight-proportional scheduler preserves relative shares
 // at any frequency on its own.
 func (c *Cluster) apply(cs *coreState, f cpufreq.Freq) {
-	prof := cs.cpu.Profile()
-	idx, err := prof.Index(f)
+	idx, err := cs.cpu.Profile().Index(f)
 	if err != nil {
 		return
 	}
-	ratio := prof.Ratio(f)
-	cf := c.cf[idx]
 	if cs.capper != nil {
+		den := c.ops.Denom(idx) // equation 4: C_init / (ratio * cf)
 		for id, init := range cs.initCredit {
 			if init <= 0 {
 				continue
 			}
-			// A failed compensation or a rejected cap would silently leave
-			// the VM capped for the old frequency. init > 0 was checked,
-			// ratio and cf come from the validated ladder, and every id was
-			// registered via AddVM, so both are impossible; enforce it.
-			newCredit, err := core.CompensatedCredit(init, ratio, cf)
-			if err != nil {
-				panic(fmt.Sprintf("multicore: recompensation for VM %d (init %v, ratio %v, cf %v): %v",
-					id, init, ratio, cf, err))
-			}
-			if err := cs.capper.SetCap(id, newCredit); err != nil {
+			// A rejected cap would silently leave the VM capped for the
+			// old frequency. Every id was registered via AddVM, so it is
+			// impossible; enforce it.
+			if err := cs.capper.SetCap(id, init/den); err != nil {
 				panic(fmt.Sprintf("multicore: recompensated cap for VM %d rejected: %v", id, err))
 			}
 		}
