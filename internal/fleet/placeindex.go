@@ -414,7 +414,6 @@ func (x *dvfsIndex) init() {
 			x.tab[ci] = tabs.of(x.states[i].Profile)
 		}
 	}
-	x.on = make([]dvfsCand, 0, n)
 	x.pos = make([]int32, n)
 	for i := range x.pos {
 		x.pos[i] = -1
