@@ -138,10 +138,6 @@ func (c *CPU) WorkRate() sim.Work {
 	return c.rate
 }
 
-// Ratio returns the paper's ratio for the current frequency:
-// Freq()/Profile().Max().
-func (c *CPU) Ratio() float64 { return c.prof.Ratio(c.cur) }
-
 // Efficiency returns the ground-truth efficiency at the current frequency.
 func (c *CPU) Efficiency() float64 { return c.prof.States[c.curLevel].Efficiency }
 

@@ -224,8 +224,8 @@ func TestCPUBootsAtMax(t *testing.T) {
 	if c.Freq() != 2667 {
 		t.Errorf("boot frequency = %v, want 2667", c.Freq())
 	}
-	if c.Ratio() != 1 || c.Efficiency() != 1 {
-		t.Errorf("boot ratio/eff = %v/%v, want 1/1", c.Ratio(), c.Efficiency())
+	if c.Level() != 4 || c.Efficiency() != 1 {
+		t.Errorf("boot level/eff = %v/%v, want 4/1", c.Level(), c.Efficiency())
 	}
 }
 
